@@ -52,35 +52,6 @@ int main(int argc, char** argv) {
   std::printf("average fused speedup: %.2fx (paper: 2.50x vs MKL, allocation "
               "untimed)\n", total_ratio / count);
 
-  // §3.1's "special cases such as s >> 1": the adjacency-reuse (row-major)
-  // kernel traverses each adjacency list once for all s columns, so its
-  // advantage grows with s.
-  std::printf("\n-- fused (per-column) vs row-major (adjacency-reuse) "
-              "kernel, kron analogue --\n");
-  TextTable sweep({"s", "Fused (s)", "RowMajor (s)", "RowMajor speedup"});
-  const CsrGraph& g = suite[1].graph;  // kron15
-  const auto n = static_cast<std::size_t>(g.NumVertices());
-  for (const std::size_t s : {1u, 10u, 50u, 100u}) {
-    DenseMatrix S(n, s), P(n, s);
-    for (std::size_t c = 0; c < s; ++c) {
-      for (std::size_t r = 0; r < n; ++r) {
-        S.At(r, c) = static_cast<double>((r + 3 * c) % 23) / 23.0;
-      }
-    }
-    const double fused_t = TimeSeconds(
-        [&] { LaplacianTimesMatrixFused(g, S, P); });
-    const double rm_t = TimeSeconds(
-        [&] { LaplacianTimesMatrixRowMajor(g, S, P); });
-    sweep.AddRow({TextTable::Int(static_cast<long long>(s)),
-                  TextTable::Num(fused_t, 4), TextTable::Num(rm_t, 4),
-                  TextTable::Num(fused_t / rm_t, 2) + "x"});
-  }
-  std::printf("%s\n", sweep.Render().c_str());
-  std::printf("note: adjacency reuse only pays when the CSR arrays spill\n"
-              "the cache (billion-edge regime); on these cache-resident\n"
-              "analogues the two transposition passes dominate and the\n"
-              "per-column fused kernel — the paper's choice — wins.\n");
-
   // Column-blocked kernel: CB columns share one CSR traversal, with the
   // block packed into a vertex-contiguous tile so each edge gather reads
   // CB consecutive doubles. Swept at s=64 (the Fig. 5 "s >> 10" regime) on

@@ -1,6 +1,9 @@
 #include "bfs/frontier.hpp"
 
 #include <algorithm>
+#include <functional>
+
+#include "util/parallel.hpp"
 
 namespace parhde {
 
@@ -10,22 +13,27 @@ Bitmap::Bitmap(vid_t n)
 }
 
 void Bitmap::Reset() {
-  const auto nw = static_cast<std::int64_t>(words_.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < nw; ++i) {
-    words_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-  }
+  ParallelFor(static_cast<std::int64_t>(words_.size()), kStreamGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi; ++i) {
+                  words_[static_cast<std::size_t>(i)].store(
+                      0, std::memory_order_relaxed);
+                }
+              });
 }
 
 std::int64_t Bitmap::Count() const {
-  const auto nw = static_cast<std::int64_t>(words_.size());
-  std::int64_t total = 0;
-#pragma omp parallel for reduction(+ : total) schedule(static)
-  for (std::int64_t i = 0; i < nw; ++i) {
-    total += __builtin_popcountll(
-        words_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed));
-  }
-  return total;
+  return ParallelReduce(
+      static_cast<std::int64_t>(words_.size()), kStreamGrain, std::int64_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::int64_t total = 0;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          total += __builtin_popcountll(words_[static_cast<std::size_t>(i)].load(
+              std::memory_order_relaxed));
+        }
+        return total;
+      },
+      std::plus<>());
 }
 
 FrontierQueue::FrontierQueue(vid_t capacity) {
@@ -38,13 +46,12 @@ void FrontierQueue::InitWith(vid_t v) {
   next_size_.store(0, std::memory_order_relaxed);
 }
 
-void FrontierQueue::Flush(std::vector<vid_t>& staged) {
+void FrontierQueue::Flush(std::span<const vid_t> staged) {
   if (staged.empty()) return;
   const std::size_t at =
       next_size_.fetch_add(staged.size(), std::memory_order_relaxed);
   std::copy(staged.begin(), staged.end(),
             next_.begin() + static_cast<std::ptrdiff_t>(at));
-  staged.clear();
 }
 
 void FrontierQueue::Advance() {
@@ -62,11 +69,12 @@ void FrontierQueue::LoadFromBitmap(const Bitmap& bitmap) {
 
 void FrontierQueue::StoreToBitmap(Bitmap& bitmap) const {
   bitmap.Reset();
-  const auto size = static_cast<std::int64_t>(current_.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < size; ++i) {
-    bitmap.Set(current_[static_cast<std::size_t>(i)]);
-  }
+  ParallelFor(static_cast<std::int64_t>(current_.size()), kStreamGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi; ++i) {
+                  bitmap.Set(current_[static_cast<std::size_t>(i)]);
+                }
+              });
 }
 
 }  // namespace parhde

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -54,9 +55,9 @@ class Bitmap {
   std::vector<std::atomic<std::uint64_t>> words_;
 };
 
-/// Growable frontier queue with thread-local staging buffers: threads append
-/// to private buffers and flush in bulk, avoiding a shared atomic cursor on
-/// every push (GAP's SlidingQueue idea).
+/// Growable frontier queue with block-local staging buffers: each block of a
+/// parallel step appends to a private FrontierStage and flushes in bulk,
+/// avoiding a shared atomic cursor on every push (GAP's SlidingQueue idea).
 class FrontierQueue {
  public:
   explicit FrontierQueue(vid_t capacity);
@@ -71,9 +72,14 @@ class FrontierQueue {
   /// Replaces the frontier with a single seed vertex.
   void InitWith(vid_t v);
 
-  /// Appends to the *next* frontier from inside a parallel region.
-  /// Each thread passes its own staging buffer; Flush publishes it.
-  void Flush(std::vector<vid_t>& staged);
+  /// Appends `staged` to the *next* frontier; safe to call concurrently.
+  void Flush(std::span<const vid_t> staged);
+
+  /// Flush that consumes a staging vector: publishes, then clears it.
+  void Flush(std::vector<vid_t>& staged) {
+    Flush(std::span<const vid_t>(staged));
+    staged.clear();
+  }
 
   /// Makes the accumulated next frontier current and clears staging.
   void Advance();
@@ -89,6 +95,32 @@ class FrontierQueue {
   std::vector<vid_t> current_;
   std::vector<vid_t> next_;
   std::atomic<std::size_t> next_size_{0};
+};
+
+/// Fixed-capacity staging buffer for one block of a parallel step: Push
+/// publishes to the queue's next frontier whenever the buffer fills, and
+/// the destructor publishes the remainder.
+class FrontierStage {
+ public:
+  explicit FrontierStage(FrontierQueue& queue) : queue_(queue) {}
+  ~FrontierStage() { queue_.Flush({buffer_, size_}); }
+
+  FrontierStage(const FrontierStage&) = delete;
+  FrontierStage& operator=(const FrontierStage&) = delete;
+
+  void Push(vid_t v) {
+    buffer_[size_++] = v;
+    if (size_ == kCapacity) {
+      queue_.Flush({buffer_, size_});
+      size_ = 0;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 1024;
+  FrontierQueue& queue_;
+  vid_t buffer_[kCapacity];
+  std::size_t size_ = 0;
 };
 
 }  // namespace parhde

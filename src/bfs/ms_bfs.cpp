@@ -4,15 +4,15 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <functional>
 #include <limits>
 
 #include "bfs/frontier.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
 #include "obs/trace.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/fault_injection.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
@@ -22,6 +22,12 @@ std::uint64_t FullMask(int lanes) {
   return lanes >= kMsBfsLanes ? ~std::uint64_t{0}
                               : (std::uint64_t{1} << lanes) - 1;
 }
+
+/// Frontier vertices per block of a sparse step (a small frontier with
+/// long adjacency lists is already worth a team) and vertices per block of
+/// a dense step.
+constexpr std::int64_t kSparseGrain = 64;
+constexpr std::int64_t kDenseGrain = 1024;
 
 /// Sparse step: push lane words along out-edges of the frontier queue.
 /// `seen` claims are arbitrated by fetch_or, so each newly won (vertex,
@@ -37,47 +43,48 @@ std::int64_t SparseStep(const CsrGraph& graph, FrontierQueue& frontier,
                         std::vector<std::uint64_t>& visit_next,
                         dist_t next_level, WriteDist&& write) {
   const auto& current = frontier.Vertices();
-  const auto fsize = static_cast<std::int64_t>(current.size());
-  std::int64_t examined = 0;
-
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : examined)
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-    std::vector<vid_t> staged;
-    staged.reserve(1024);
-#pragma omp for schedule(dynamic, 64) nowait
-    for (std::int64_t i = 0; i < fsize; ++i) {
-      const vid_t v = current[static_cast<std::size_t>(i)];
-      const std::uint64_t vbits = visit[static_cast<std::size_t>(v)];
-      visit[static_cast<std::size_t>(v)] = 0;  // single reader: this iteration
-      for (const vid_t u : graph.Neighbors(v)) {
-        ++examined;
-        auto& seen_u = seen[static_cast<std::size_t>(u)];
-        const std::uint64_t cand =
-            vbits & ~std::atomic_ref(seen_u).load(std::memory_order_relaxed);
-        if (cand == 0) continue;
-        const std::uint64_t prev =
-            std::atomic_ref(seen_u).fetch_or(cand, std::memory_order_relaxed);
-        const std::uint64_t won = cand & ~prev;
-        if (won == 0) continue;
-        for (std::uint64_t bits = won; bits != 0; bits &= bits - 1) {
-          write(u, std::countr_zero(bits), next_level);
+  const std::int64_t examined = ParallelReduce(
+      frontier.Size(), kSparseGrain, std::int64_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        FrontierStage staged(frontier);
+        std::int64_t arcs = 0;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const vid_t v = current[static_cast<std::size_t>(i)];
+          const std::uint64_t vbits = visit[static_cast<std::size_t>(v)];
+          visit[static_cast<std::size_t>(v)] = 0;  // single reader
+          for (const vid_t u : graph.Neighbors(v)) {
+            ++arcs;
+            auto& seen_u = seen[static_cast<std::size_t>(u)];
+            const std::uint64_t cand =
+                vbits &
+                ~std::atomic_ref(seen_u).load(std::memory_order_relaxed);
+            if (cand == 0) continue;
+            const std::uint64_t prev = std::atomic_ref(seen_u).fetch_or(
+                cand, std::memory_order_relaxed);
+            const std::uint64_t won = cand & ~prev;
+            if (won == 0) continue;
+            for (std::uint64_t bits = won; bits != 0; bits &= bits - 1) {
+              write(u, std::countr_zero(bits), next_level);
+            }
+            auto& vn_u = visit_next[static_cast<std::size_t>(u)];
+            if (std::atomic_ref(vn_u).fetch_or(
+                    won, std::memory_order_relaxed) == 0) {
+              staged.Push(u);
+            }
+          }
         }
-        auto& vn_u = visit_next[static_cast<std::size_t>(u)];
-        if (std::atomic_ref(vn_u).fetch_or(won, std::memory_order_relaxed) ==
-            0) {
-          staged.push_back(u);
-          if (staged.size() == staged.capacity()) frontier.Flush(staged);
-        }
-      }
-    }
-    frontier.Flush(staged);
-  }
+        return arcs;
+      },
+      std::plus<>());
   frontier.Advance();
   return examined;
 }
+
+/// Arcs examined and vertices reached by one dense step.
+struct DenseCounts {
+  std::int64_t examined = 0;
+  std::int64_t awake = 0;
+};
 
 /// Dense step: word-iteration over every vertex with unfinished lanes,
 /// pulling lane words from its neighbors. Each destination vertex has
@@ -91,38 +98,36 @@ std::int64_t DenseStep(const CsrGraph& graph, std::uint64_t full_mask,
                        std::vector<std::uint64_t>& visit_next,
                        dist_t next_level, std::int64_t& awake_count,
                        WriteDist&& write) {
-  const vid_t n = graph.NumVertices();
-  std::int64_t examined = 0;
-  std::int64_t awake = 0;
-
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : examined, awake)
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for schedule(dynamic, 1024) nowait
-    for (vid_t u = 0; u < n; ++u) {
-      const std::uint64_t todo =
-          full_mask & ~seen[static_cast<std::size_t>(u)];
-      if (todo == 0) continue;
-      std::uint64_t acc = 0;
-      for (const vid_t v : graph.Neighbors(u)) {
-        ++examined;
-        acc |= visit[static_cast<std::size_t>(v)];
-        if ((acc & todo) == todo) break;  // every remaining lane found
-      }
-      const std::uint64_t won = acc & todo;
-      if (won == 0) continue;
-      seen[static_cast<std::size_t>(u)] |= won;
-      visit_next[static_cast<std::size_t>(u)] = won;
-      for (std::uint64_t bits = won; bits != 0; bits &= bits - 1) {
-        write(u, std::countr_zero(bits), next_level);
-      }
-      ++awake;
-    }
-  }
-  awake_count = awake;
-  return examined;
+  const DenseCounts counts = ParallelReduce(
+      graph.NumVertices(), kDenseGrain, DenseCounts{},
+      [&](std::int64_t lo, std::int64_t hi) {
+        DenseCounts local;
+        for (auto u = static_cast<vid_t>(lo); u < hi; ++u) {
+          const std::uint64_t todo =
+              full_mask & ~seen[static_cast<std::size_t>(u)];
+          if (todo == 0) continue;
+          std::uint64_t acc = 0;
+          for (const vid_t v : graph.Neighbors(u)) {
+            ++local.examined;
+            acc |= visit[static_cast<std::size_t>(v)];
+            if ((acc & todo) == todo) break;  // every remaining lane found
+          }
+          const std::uint64_t won = acc & todo;
+          if (won == 0) continue;
+          seen[static_cast<std::size_t>(u)] |= won;
+          visit_next[static_cast<std::size_t>(u)] = won;
+          for (std::uint64_t bits = won; bits != 0; bits &= bits - 1) {
+            write(u, std::countr_zero(bits), next_level);
+          }
+          ++local.awake;
+        }
+        return local;
+      },
+      [](DenseCounts a, DenseCounts b) {
+        return DenseCounts{a.examined + b.examined, a.awake + b.awake};
+      });
+  awake_count = counts.awake;
+  return counts.examined;
 }
 
 /// Rebuilds the sparse queue from the nonzero visit words (dense -> sparse
@@ -130,20 +135,15 @@ std::int64_t DenseStep(const CsrGraph& graph, std::uint64_t full_mask,
 /// rebuild parallel.
 void LoadQueueFromWords(const std::vector<std::uint64_t>& visit,
                         FrontierQueue& frontier) {
-  const auto n = static_cast<std::int64_t>(visit.size());
-#pragma omp parallel
-  {
-    std::vector<vid_t> staged;
-    staged.reserve(1024);
-#pragma omp for schedule(static) nowait
-    for (std::int64_t v = 0; v < n; ++v) {
-      if (visit[static_cast<std::size_t>(v)] != 0) {
-        staged.push_back(static_cast<vid_t>(v));
-        if (staged.size() == staged.capacity()) frontier.Flush(staged);
-      }
-    }
-    frontier.Flush(staged);
-  }
+  ParallelFor(static_cast<std::int64_t>(visit.size()), kStreamGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                FrontierStage staged(frontier);
+                for (std::int64_t v = lo; v < hi; ++v) {
+                  if (visit[static_cast<std::size_t>(v)] != 0) {
+                    staged.Push(static_cast<vid_t>(v));
+                  }
+                }
+              });
   frontier.Advance();
 }
 
@@ -283,13 +283,13 @@ void MultiSourceBfsToColumns(const CsrGraph& graph,
   assert(B.Rows() == static_cast<std::size_t>(n));
   assert(col_offset + sources.size() <= B.Cols());
   // Pre-fill with the unreachable sentinel; the traversal overwrites every
-  // reached (vertex, lane) pair exactly once.
-  const auto cols = static_cast<std::int64_t>(sources.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t c = 0; c < cols; ++c) {
-    auto column = B.Col(col_offset + static_cast<std::size_t>(c));
-    std::fill(column.begin(), column.end(), static_cast<double>(n));
-  }
+  // reached (vertex, lane) pair exactly once. The target columns are one
+  // contiguous column-major range.
+  double* const first = B.Data() + col_offset * B.Rows();
+  ParallelFor(static_cast<std::int64_t>(sources.size() * B.Rows()),
+              kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+                std::fill(first + lo, first + hi, static_cast<double>(n));
+              });
   const MsBfsStats local =
       RunBatches(graph, sources, options, [&](std::size_t offset) {
         double* base = B.Col(col_offset + offset).data();

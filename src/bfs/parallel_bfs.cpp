@@ -2,17 +2,24 @@
 
 #include <atomic>
 #include <cassert>
+#include <functional>
 
 #include "bfs/frontier.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
 #include "obs/trace.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/fault_injection.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
+
+/// Frontier vertices per block of a top-down step: a frontier of a few
+/// hundred vertices with long adjacency lists is already worth a team.
+constexpr std::int64_t kTopDownGrain = 64;
+
+/// Vertices per block of a bottom-up step.
+constexpr std::int64_t kBottomUpGrain = 1024;
 
 /// Top-down step: expand the frontier queue, claiming vertices via CAS on
 /// the parent array. The claiming thread alone writes dist[u], so distances
@@ -22,37 +29,37 @@ std::int64_t TopDownStep(const CsrGraph& graph, FrontierQueue& frontier,
                          std::vector<std::atomic<vid_t>>& parent,
                          std::vector<dist_t>& dist, dist_t next_level) {
   const auto& current = frontier.Vertices();
-  const auto fsize = static_cast<std::int64_t>(current.size());
-  std::int64_t examined = 0;
-
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : examined)
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-    std::vector<vid_t> staged;
-    staged.reserve(1024);
-#pragma omp for schedule(dynamic, 64) nowait
-    for (std::int64_t i = 0; i < fsize; ++i) {
-      const vid_t v = current[static_cast<std::size_t>(i)];
-      for (const vid_t u : graph.Neighbors(v)) {
-        ++examined;
-        vid_t expected = kInvalidVid;
-        if (parent[static_cast<std::size_t>(u)].load(std::memory_order_relaxed) ==
-                kInvalidVid &&
-            parent[static_cast<std::size_t>(u)].compare_exchange_strong(
-                expected, v, std::memory_order_relaxed)) {
-          dist[static_cast<std::size_t>(u)] = next_level;
-          staged.push_back(u);
-          if (staged.size() == staged.capacity()) frontier.Flush(staged);
+  const std::int64_t examined = ParallelReduce(
+      frontier.Size(), kTopDownGrain, std::int64_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        FrontierStage staged(frontier);
+        std::int64_t arcs = 0;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const vid_t v = current[static_cast<std::size_t>(i)];
+          for (const vid_t u : graph.Neighbors(v)) {
+            ++arcs;
+            auto& pu = parent[static_cast<std::size_t>(u)];
+            vid_t expected = kInvalidVid;
+            if (pu.load(std::memory_order_relaxed) == kInvalidVid &&
+                pu.compare_exchange_strong(expected, v,
+                                           std::memory_order_relaxed)) {
+              dist[static_cast<std::size_t>(u)] = next_level;
+              staged.Push(u);
+            }
+          }
         }
-      }
-    }
-    frontier.Flush(staged);
-  }
+        return arcs;
+      },
+      std::plus<>());
   frontier.Advance();
   return examined;
 }
+
+/// Arcs examined and vertices reached by one bottom-up step.
+struct BottomUpCounts {
+  std::int64_t examined = 0;
+  std::int64_t awake = 0;
+};
 
 /// Bottom-up step: every unvisited vertex scans its adjacency for a parent
 /// in the current frontier bitmap. Each u has exactly one writer, so parent
@@ -63,37 +70,32 @@ std::int64_t BottomUpStep(const CsrGraph& graph, const Bitmap& front,
                           std::vector<std::atomic<vid_t>>& parent,
                           std::vector<dist_t>& dist, dist_t next_level,
                           std::int64_t& awake_count) {
-  const vid_t n = graph.NumVertices();
-  std::int64_t examined = 0;
-  std::int64_t awake = 0;
-
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : examined, awake)
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for schedule(dynamic, 1024) nowait
-    for (vid_t u = 0; u < n; ++u) {
-      if (parent[static_cast<std::size_t>(u)].load(
-              std::memory_order_relaxed) != kInvalidVid) {
-        continue;
-      }
-      if (dist[static_cast<std::size_t>(u)] != kInfDist) continue;  // source
-      for (const vid_t v : graph.Neighbors(u)) {
-        ++examined;
-        if (front.Get(v)) {
-          parent[static_cast<std::size_t>(u)].store(v,
-                                                    std::memory_order_relaxed);
-          dist[static_cast<std::size_t>(u)] = next_level;
-          next.SetUnsynced(u);
-          ++awake;
-          break;  // early exit: one parent suffices
+  const BottomUpCounts counts = ParallelReduce(
+      graph.NumVertices(), kBottomUpGrain, BottomUpCounts{},
+      [&](std::int64_t lo, std::int64_t hi) {
+        BottomUpCounts local;
+        for (auto u = static_cast<vid_t>(lo); u < hi; ++u) {
+          auto& pu = parent[static_cast<std::size_t>(u)];
+          if (pu.load(std::memory_order_relaxed) != kInvalidVid) continue;
+          if (dist[static_cast<std::size_t>(u)] != kInfDist) continue;  // source
+          for (const vid_t v : graph.Neighbors(u)) {
+            ++local.examined;
+            if (front.Get(v)) {
+              pu.store(v, std::memory_order_relaxed);
+              dist[static_cast<std::size_t>(u)] = next_level;
+              next.SetUnsynced(u);
+              ++local.awake;
+              break;  // early exit: one parent suffices
+            }
+          }
         }
-      }
-    }
-  }
-  awake_count = awake;
-  return examined;
+        return local;
+      },
+      [](BottomUpCounts a, BottomUpCounts b) {
+        return BottomUpCounts{a.examined + b.examined, a.awake + b.awake};
+      });
+  awake_count = counts.awake;
+  return counts.examined;
 }
 
 /// Sum of out-degrees of the queue frontier, the m_f term of the
@@ -101,13 +103,16 @@ std::int64_t BottomUpStep(const CsrGraph& graph, const Bitmap& front,
 std::int64_t FrontierOutEdges(const CsrGraph& graph,
                               const FrontierQueue& frontier) {
   const auto& current = frontier.Vertices();
-  const auto fsize = static_cast<std::int64_t>(current.size());
-  std::int64_t edges = 0;
-#pragma omp parallel for reduction(+ : edges) schedule(static)
-  for (std::int64_t i = 0; i < fsize; ++i) {
-    edges += graph.Degree(current[static_cast<std::size_t>(i)]);
-  }
-  return edges;
+  return ParallelReduce(
+      frontier.Size(), kStreamGrain, std::int64_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::int64_t edges = 0;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          edges += graph.Degree(current[static_cast<std::size_t>(i)]);
+        }
+        return edges;
+      },
+      std::plus<>());
 }
 
 }  // namespace
@@ -121,11 +126,12 @@ BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
   BfsResult result;
   result.dist.assign(static_cast<std::size_t>(n), kInfDist);
   std::vector<std::atomic<vid_t>> parent(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    parent[static_cast<std::size_t>(v)].store(kInvalidVid,
-                                              std::memory_order_relaxed);
-  }
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t v = lo; v < hi; ++v) {
+      parent[static_cast<std::size_t>(v)].store(kInvalidVid,
+                                                std::memory_order_relaxed);
+    }
+  });
 
   FrontierQueue frontier(n);
   frontier.InitWith(source);
@@ -203,11 +209,12 @@ BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
   }
 
   result.parent.resize(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    result.parent[static_cast<std::size_t>(v)] =
-        parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-  }
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t v = lo; v < hi; ++v) {
+      result.parent[static_cast<std::size_t>(v)] =
+          parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
+    }
+  });
   result.parent[static_cast<std::size_t>(source)] = kInvalidVid;
 
   // Flush aggregate work counters once per search — never per edge.

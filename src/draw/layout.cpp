@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
+
+#include "util/parallel.hpp"
 
 namespace parhde {
 
@@ -90,20 +93,25 @@ double NormalizedEdgeLengthEnergy(const CsrGraph& graph,
   rms = std::sqrt(rms / n);
   if (rms <= 0.0) return 0.0;
 
-  double energy = 0.0;
-#pragma omp parallel for reduction(+ : energy) schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    for (const vid_t u : graph.Neighbors(v)) {
-      if (u <= v) continue;
-      const double dx = (layout.x[static_cast<std::size_t>(v)] -
-                         layout.x[static_cast<std::size_t>(u)]) /
-                        rms;
-      const double dy = (layout.y[static_cast<std::size_t>(v)] -
-                         layout.y[static_cast<std::size_t>(u)]) /
-                        rms;
-      energy += dx * dx + dy * dy;
-    }
-  }
+  const double energy = ParallelReduce(
+      n, 1024, 0.0,
+      [&](std::int64_t lo, std::int64_t hi) {
+        double sum = 0.0;
+        for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+          for (const vid_t u : graph.Neighbors(v)) {
+            if (u <= v) continue;
+            const double dx = (layout.x[static_cast<std::size_t>(v)] -
+                               layout.x[static_cast<std::size_t>(u)]) /
+                              rms;
+            const double dy = (layout.y[static_cast<std::size_t>(v)] -
+                               layout.y[static_cast<std::size_t>(u)]) /
+                              rms;
+            sum += dx * dx + dy * dy;
+          }
+        }
+        return sum;
+      },
+      std::plus<>());
   return energy / static_cast<double>(graph.NumEdges());
 }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "bfs/serial_bfs.hpp"
 #include "hde/pivots.hpp"
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace parhde {
@@ -20,39 +22,48 @@ double NeighborhoodPreservation(const CsrGraph& graph, const Layout& layout,
   const std::vector<vid_t> samples = RandomPivots(
       n, std::min<int>(options.np_samples, static_cast<int>(n)), options.seed);
 
-  double total = 0.0;
-  std::size_t counted = 0;
-  std::vector<std::pair<double, vid_t>> nearest;
+  // (sum of per-sample hit ratios, samples counted), eight samples per
+  // block: each sample is an O(n) scan.
+  using Tally = std::pair<double, std::int64_t>;
+  const Tally tally = ParallelReduce(
+      static_cast<std::int64_t>(samples.size()), 8, Tally{},
+      [&](std::int64_t lo, std::int64_t hi) {
+        Tally local;
+        std::vector<std::pair<double, vid_t>> nearest;
+        for (std::int64_t s = lo; s < hi; ++s) {
+          const vid_t v = samples[static_cast<std::size_t>(s)];
+          const auto deg = static_cast<std::size_t>(graph.Degree(v));
+          if (deg == 0) continue;
 
-#pragma omp parallel for schedule(dynamic, 8) private(nearest) \
-    reduction(+ : total, counted)
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    const vid_t v = samples[s];
-    const auto deg = static_cast<std::size_t>(graph.Degree(v));
-    if (deg == 0) continue;
+          // Exact deg(v)-nearest neighbors in the layout.
+          nearest.clear();
+          const double xv = layout.x[static_cast<std::size_t>(v)];
+          const double yv = layout.y[static_cast<std::size_t>(v)];
+          for (vid_t u = 0; u < n; ++u) {
+            if (u == v) continue;
+            const double dx = layout.x[static_cast<std::size_t>(u)] - xv;
+            const double dy = layout.y[static_cast<std::size_t>(u)] - yv;
+            nearest.emplace_back(dx * dx + dy * dy, u);
+          }
+          std::nth_element(
+              nearest.begin(),
+              nearest.begin() + static_cast<std::ptrdiff_t>(deg - 1),
+              nearest.end());
 
-    // Exact deg(v)-nearest neighbors in the layout.
-    nearest.clear();
-    const double xv = layout.x[static_cast<std::size_t>(v)];
-    const double yv = layout.y[static_cast<std::size_t>(v)];
-    for (vid_t u = 0; u < n; ++u) {
-      if (u == v) continue;
-      const double dx = layout.x[static_cast<std::size_t>(u)] - xv;
-      const double dy = layout.y[static_cast<std::size_t>(u)] - yv;
-      nearest.emplace_back(dx * dx + dy * dy, u);
-    }
-    std::nth_element(nearest.begin(),
-                     nearest.begin() + static_cast<std::ptrdiff_t>(deg - 1),
-                     nearest.end());
-
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < deg; ++i) {
-      if (graph.HasEdge(v, nearest[i].second)) ++hits;
-    }
-    total += static_cast<double>(hits) / static_cast<double>(deg);
-    ++counted;
-  }
-  return counted ? total / static_cast<double>(counted) : 0.0;
+          std::size_t hits = 0;
+          for (std::size_t i = 0; i < deg; ++i) {
+            if (graph.HasEdge(v, nearest[i].second)) ++hits;
+          }
+          local.first += static_cast<double>(hits) / static_cast<double>(deg);
+          ++local.second;
+        }
+        return local;
+      },
+      [](Tally a, Tally b) {
+        return Tally{a.first + b.first, a.second + b.second};
+      });
+  return tally.second ? tally.first / static_cast<double>(tally.second)
+                      : 0.0;
 }
 
 double DistanceCorrelation(const CsrGraph& graph, const Layout& layout,

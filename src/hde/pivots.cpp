@@ -76,44 +76,47 @@ std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
       // weights exceed 1, corrupting pivot selection and the B columns).
       const weight_t maxw =
           max_weight >= 0.0 ? max_weight : MaxEdgeWeight(graph);
-      weight_t max_finite = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : max_finite)
-      for (vid_t v = 0; v < n; ++v) {
-        const weight_t d = wdist[static_cast<std::size_t>(v)];
-        if (std::isfinite(d)) max_finite = std::max(max_finite, d);
-      }
+      const weight_t max_finite = ParallelReduce(
+          n, kStreamGrain, weight_t{0},
+          [&](std::int64_t lo, std::int64_t hi) {
+            weight_t best = 0.0;
+            for (std::int64_t v = lo; v < hi; ++v) {
+              const weight_t d = wdist[static_cast<std::size_t>(v)];
+              if (std::isfinite(d)) best = std::max(best, d);
+            }
+            return best;
+          },
+          [](weight_t a, weight_t b) { return std::max(a, b); });
       const weight_t sentinel =
           WeightedUnreachableSentinel(max_finite, maxw, n);
-#pragma omp parallel for schedule(static)
-      for (vid_t v = 0; v < n; ++v) {
-        const weight_t d = wdist[static_cast<std::size_t>(v)];
-        column[static_cast<std::size_t>(v)] =
-            std::isfinite(d) ? d : sentinel;
-      }
       // Quantize for the farthest-vertex reduction (ties resolved on the
       // quantized scale; adequate for pivot spreading). Finite distances
       // beyond the dist_t range clamp to the largest finite hop value so
       // they still sort above everything reachable-and-near.
       hops.resize(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-      for (vid_t v = 0; v < n; ++v) {
-        const weight_t d = wdist[static_cast<std::size_t>(v)];
-        hops[static_cast<std::size_t>(v)] =
-            !std::isfinite(d)                         ? kInfDist
-            : d >= static_cast<weight_t>(kInfDist - 1) ? kInfDist - 1
-                                                       : static_cast<dist_t>(d);
-      }
+      ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t v = lo; v < hi; ++v) {
+          const auto i = static_cast<std::size_t>(v);
+          const weight_t d = wdist[i];
+          column[i] = std::isfinite(d) ? d : sentinel;
+          hops[i] = !std::isfinite(d) ? kInfDist
+                    : d >= static_cast<weight_t>(kInfDist - 1)
+                        ? kInfDist - 1
+                        : static_cast<dist_t>(d);
+        }
+      });
       return hops;
     }
   }
 
   // BFS kernels: convert hop counts to doubles.
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    const dist_t d = hops[static_cast<std::size_t>(v)];
-    column[static_cast<std::size_t>(v)] =
-        d == kInfDist ? static_cast<double>(n) : static_cast<double>(d);
-  }
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t v = lo; v < hi; ++v) {
+      const dist_t d = hops[static_cast<std::size_t>(v)];
+      column[static_cast<std::size_t>(v)] =
+          d == kInfDist ? static_cast<double>(n) : static_cast<double>(d);
+    }
+  });
   return hops;
 }
 
@@ -278,13 +281,8 @@ DistancePhase RunRandomPhase(const CsrGraph& graph, const HdeOptions& options) {
     // paper's alternative that wins when s exceeds the thread count or the
     // graph has high diameter (Table 6).
     PARHDE_TRACE_SPAN("bfs.concurrent_serial");
-    util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-    {
-      util::ScopedRunContext run_scope(*run_ctx);
-      obs::ScopedRegionTimer obs_timer;
-#pragma omp for schedule(dynamic, 1) nowait
-      for (int i = 0; i < s; ++i) {
+    ParallelFor(s, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
         const std::vector<dist_t> hops =
             i == 0 && !probe.empty()
                 ? probe
@@ -299,7 +297,7 @@ DistancePhase RunRandomPhase(const CsrGraph& graph, const HdeOptions& options) {
               d == kInfDist ? static_cast<double>(n) : static_cast<double>(d);
         }
       }
-    }
+    });
   }
   phase.traversal_seconds = traversal.Seconds();
   return phase;

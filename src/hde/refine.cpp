@@ -5,6 +5,7 @@
 
 #include "linalg/laplacian_ops.hpp"
 #include "linalg/vector_ops.hpp"
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace parhde {
@@ -41,12 +42,13 @@ void ReorthogonalizeAxes(const CsrGraph& graph, Layout& layout) {
 void LazyWalkStep(const CsrGraph& graph, std::vector<double>& x,
                   std::vector<double>& tmp) {
   TransitionTimesVector(graph, x, tmp);
-  const auto n = static_cast<std::int64_t>(x.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    x[static_cast<std::size_t>(i)] = 0.5 * (x[static_cast<std::size_t>(i)] +
-                                            tmp[static_cast<std::size_t>(i)]);
-  }
+  ParallelFor(static_cast<std::int64_t>(x.size()), kStreamGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi; ++i) {
+                  const auto j = static_cast<std::size_t>(i);
+                  x[j] = 0.5 * (x[j] + tmp[j]);
+                }
+              });
 }
 
 }  // namespace

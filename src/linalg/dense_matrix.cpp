@@ -5,13 +5,15 @@
 #include <new>
 
 #include "resilience/fault_injection.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
 
-/// Below this element count the OpenMP fork/join costs more than the fill;
-/// small matrices (eigen blocks, test fixtures) stay serial.
-constexpr std::size_t kParallelTouchThreshold = std::size_t{1} << 15;
+/// Elements per block of the zero and copy sweeps. Below this count the
+/// fork/join costs more than the fill, so small matrices (eigen blocks,
+/// test fixtures) stay on the calling thread.
+constexpr std::int64_t kTouchGrain = std::int64_t{1} << 15;
 
 /// Allocates without value-initialization so the zero sweep below performs
 /// the *first* write to every page (the write that decides NUMA placement).
@@ -24,27 +26,17 @@ std::unique_ptr<double[]> AllocateUninitialized(std::size_t count) {
 }
 
 void FirstTouchZero(double* data, std::size_t count) {
-  if (count < kParallelTouchThreshold) {
-    std::fill_n(data, count, 0.0);
-    return;
-  }
-  const auto n = static_cast<std::int64_t>(count);
-  // Static schedule: the same thread->range mapping the streaming kernels
-  // use, so each page lands on the node of the thread that will read it.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) data[static_cast<std::size_t>(i)] = 0.0;
+  ParallelFor(static_cast<std::int64_t>(count), kTouchGrain,
+              [=](std::int64_t lo, std::int64_t hi) {
+                std::fill(data + lo, data + hi, 0.0);
+              });
 }
 
 void ParallelCopy(const double* src, double* dst, std::size_t count) {
-  if (count < kParallelTouchThreshold) {
-    std::copy_n(src, count, dst);
-    return;
-  }
-  const auto n = static_cast<std::int64_t>(count);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i)];
-  }
+  ParallelFor(static_cast<std::int64_t>(count), kTouchGrain,
+              [=](std::int64_t lo, std::int64_t hi) {
+                std::copy(src + lo, src + hi, dst + lo);
+              });
 }
 
 }  // namespace

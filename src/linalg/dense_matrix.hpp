@@ -5,9 +5,10 @@
 // Storage is a manually managed buffer, zero-filled by a parallel
 // first-touch sweep instead of std::vector's serial value-initialization:
 // on NUMA machines the OS backs each page on the node of the thread that
-// first writes it, so a statically scheduled first touch places the
-// distance matrix's pages on the threads that later stream them (the
-// kernels all use static schedules over the same index space).
+// first writes it, so a parallel first touch places the distance matrix's
+// pages on the threads that later stream them: the loop primitive
+// (util/parallel.hpp) gives every thread the same contiguous row range in
+// the sweep and in the kernels, up to one block at the range edges.
 #pragma once
 
 #include <cassert>

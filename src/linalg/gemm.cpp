@@ -1,16 +1,21 @@
 #include "linalg/gemm.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "obs/thread_stats.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
+namespace {
+
+/// Rows per block for both products: the unit of dynamic scheduling, of
+/// TransposeTimes' partial tiles, and of TallTimesSmall's L1-resident
+/// output chunk.
+constexpr std::int64_t kGemmRowGrain = 2048;
+
+}  // namespace
 
 DenseMatrix TransposeTimes(const DenseMatrix& A, const DenseMatrix& B) {
   assert(A.Rows() == B.Rows());
@@ -25,56 +30,36 @@ DenseMatrix TransposeTimes(const DenseMatrix& A, const DenseMatrix& B) {
   for (std::size_t a = 0; a < ka; ++a) acols[a] = A.Col(a).data();
   for (std::size_t b = 0; b < kb; ++b) bcols[b] = B.Col(b).data();
 
-  // Per-thread ka x kb accumulators over row blocks, merged serially:
-  // deterministic for a fixed thread count and free of atomics. One flat
-  // buffer with each thread's block padded out to whole cache lines — the
-  // nested-vector layout put different threads' tiles on shared lines.
-  const std::size_t tile = ka * kb;
-  // Pad each thread's tile so tiles are a full cache line apart regardless
-  // of the buffer's base alignment.
-  const std::size_t stride = ((tile + 7) & ~std::size_t{7}) + 8;
-  std::vector<double> partials;
-  int nthreads = 1;
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp single
-    {
-      nthreads = omp_get_num_threads();
-      partials.assign(static_cast<std::size_t>(nthreads) * stride, 0.0);
-    }
-    double* local =
-        partials.data() + static_cast<std::size_t>(omp_get_thread_num()) * stride;
-    // Gather row i of B once into a contiguous stack-side buffer, then
-    // stream it against every A column entry: the inner simd loop runs
-    // over brow (L1-resident) instead of kb strided column reads.
-    std::vector<double> brow(kb);
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-      const auto row = static_cast<std::size_t>(i);
-      double* browp = brow.data();
-      for (std::size_t b = 0; b < kb; ++b) browp[b] = bcols[b][row];
-      for (std::size_t a = 0; a < ka; ++a) {
-        const double av = acols[a][row];
-        if (av == 0.0) continue;
-        double* la = local + a * kb;
+  // One ka x kb partial tile per kGemmRowGrain-row block, folded in block
+  // order: bitwise identical at any thread count and free of atomics.
+  const std::vector<double> sum = ParallelReduce(
+      static_cast<std::int64_t>(n), kGemmRowGrain, std::vector<double>(ka * kb),
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<double> local(ka * kb);
+        // Gather row i of B once into a contiguous buffer, then stream it
+        // against every A column entry: the inner simd loop runs over brow
+        // (L1-resident) instead of kb strided column reads.
+        std::vector<double> brow(kb);
+        double* browp = brow.data();
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const auto row = static_cast<std::size_t>(i);
+          for (std::size_t b = 0; b < kb; ++b) browp[b] = bcols[b][row];
+          for (std::size_t a = 0; a < ka; ++a) {
+            const double av = acols[a][row];
+            if (av == 0.0) continue;
+            double* la = local.data() + a * kb;
 #pragma omp simd
-        for (std::size_t b = 0; b < kb; ++b) {
-          la[b] += av * browp[b];
+            for (std::size_t b = 0; b < kb; ++b) la[b] += av * browp[b];
+          }
         }
-      }
-    }
-  }
-
-  for (int t = 0; t < nthreads; ++t) {
-    const double* local = partials.data() + static_cast<std::size_t>(t) * stride;
-    for (std::size_t a = 0; a < ka; ++a) {
-      for (std::size_t b = 0; b < kb; ++b) {
-        Z.At(a, b) += local[a * kb + b];
-      }
-    }
+        return local;
+      },
+      [](std::vector<double> acc, std::vector<double> block) {
+        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += block[i];
+        return acc;
+      });
+  for (std::size_t a = 0; a < ka; ++a) {
+    for (std::size_t b = 0; b < kb; ++b) Z.At(a, b) = sum[a * kb + b];
   }
   return Z;
 }
@@ -102,36 +87,25 @@ DenseMatrix TallTimesSmall(const DenseMatrix& A, const DenseMatrix& B) {
   // bc[j] * A.Col(j) chunk by chunk. The C chunk stays in L1 across the k
   // axpys and every stream is contiguous (vectorizable), where the naive
   // per-row inner product strided across all k columns at once.
-  constexpr std::int64_t kChunk = 2048;
-  const auto nn = static_cast<std::int64_t>(n);
-  const std::int64_t nchunks = (nn + kChunk - 1) / kChunk;
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-      const std::int64_t lo = chunk * kChunk;
-      const std::int64_t hi = std::min(nn, lo + kChunk);
-      for (std::size_t c = 0; c < p; ++c) {
-        const double* bc = bcols[c];
-        double* cc = ccols[c];
-        {
-          const double b0 = bc[0];
-          const double* aj = acols[0];
+  ParallelFor(static_cast<std::int64_t>(n), kGemmRowGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+    for (std::size_t c = 0; c < p; ++c) {
+      const double* bc = bcols[c];
+      double* cc = ccols[c];
+      {
+        const double b0 = bc[0];
+        const double* aj = acols[0];
 #pragma omp simd
-          for (std::int64_t i = lo; i < hi; ++i) cc[i] = b0 * aj[i];
-        }
-        for (std::size_t j = 1; j < k; ++j) {
-          const double bj = bc[j];
-          const double* aj = acols[j];
+        for (std::int64_t i = lo; i < hi; ++i) cc[i] = b0 * aj[i];
+      }
+      for (std::size_t j = 1; j < k; ++j) {
+        const double bj = bc[j];
+        const double* aj = acols[j];
 #pragma omp simd
-          for (std::int64_t i = lo; i < hi; ++i) cc[i] += bj * aj[i];
-        }
+        for (std::int64_t i = lo; i < hi; ++i) cc[i] += bj * aj[i];
       }
     }
-  }
+  });
   return C;
 }
 

@@ -1,20 +1,17 @@
 #include "linalg/gram_schmidt.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-
+#include <functional>
 #include <limits>
 
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/fault_injection.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
@@ -45,35 +42,38 @@ void ProjectModifiedPipelined(DenseMatrix& S, std::span<const double> d,
                               std::size_t target) {
   const std::size_t k = kept.size();
   if (k == 0) return;
-  auto t = S.Col(target);
-  double* tp = t.data();
-  const double* dp = d.data();
+  const auto t = S.Col(target);
   const auto n = static_cast<std::int64_t>(t.size());
 
   // Priming sweep: the coefficient against the first kept column.
   double coeff = WeightedDot(S.Col(kept[0]), t, d);
   for (std::size_t idx = 0; idx < k; ++idx) {
-    const double* sj = S.Col(kept[idx]).data();
+    const auto sj = S.Col(kept[idx]);
     if (idx + 1 < k) {
-      const double* sn = S.Col(kept[idx + 1]).data();
+      const auto sn = S.Col(kept[idx + 1]);
       const double c = coeff;
-      double next = 0.0;
-      util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : next)
-      {
-        util::ScopedRunContext run_scope(*run_ctx);
-        obs::ScopedRegionTimer obs_timer;
-#pragma omp for simd schedule(static) nowait
-        for (std::int64_t i = 0; i < n; ++i) {
-          const double updated = tp[i] - c * sj[i];
-          tp[i] = updated;
-          next += sn[i] * dp[i] * updated;
-        }
-      }
-      coeff = next;
+      coeff = ParallelReduce(
+          n, kStreamGrain, 0.0,
+          [&](std::int64_t lo, std::int64_t hi) {
+            // Locals, not captures, inside the simd loop (see vector_ops).
+            double* tp = t.data();
+            const double* dp = d.data();
+            const double* sjp = sj.data();
+            const double* snp = sn.data();
+            const double cj = c;
+            double next = 0.0;
+#pragma omp simd reduction(+ : next)
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const double updated = tp[i] - cj * sjp[i];
+              tp[i] = updated;
+              next += snp[i] * dp[i] * updated;
+            }
+            return next;
+          },
+          std::plus<>());
     } else {
       // Drain sweep: the last kept column has no successor to dot against.
-      Axpy(-coeff, S.Col(kept[idx]), t);
+      Axpy(-coeff, sj, t);
     }
   }
   obs::CounterAdd(obs::Counter::kDOrthoSweeps,
@@ -101,72 +101,49 @@ void ProjectClassical(DenseMatrix& S, std::span<const double> d,
     cols[idx] = S.Col(against[idx]).data();
   }
 
-  // Both passes are tiled: within a row chunk, each column is streamed
-  // sequentially while the chunk of t/d stays in L1 — column-major layout
-  // makes iterating idx in the innermost position a miss per element.
-  constexpr std::int64_t kChunk = 4096;
-  const std::int64_t nchunks = (n + kChunk - 1) / kChunk;
+  // Both passes are tiled over kStreamGrain-row blocks: within a block,
+  // each column is streamed sequentially while the block of t/d stays in
+  // L1 — column-major layout makes iterating idx in the innermost position
+  // a miss per element.
 
-  // Pass 1: coeffs = Sᵀ D t with per-thread partials (deterministic for a
-  // fixed thread count; partials merged in thread order).
-  std::vector<double> coeffs(k, 0.0);
-  std::vector<std::vector<double>> partials;
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp single
-    partials.assign(static_cast<std::size_t>(omp_get_num_threads()),
-                    std::vector<double>(k, 0.0));
-    auto& local = partials[static_cast<std::size_t>(omp_get_thread_num())];
-    std::vector<double> dt(kChunk);  // d[i]*t[i], shared across all k columns
-#pragma omp for schedule(static)
-    for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-      const std::int64_t lo = chunk * kChunk;
-      const std::int64_t hi = std::min(n, lo + kChunk);
-      const double* tpc = t.data();
-      const double* dpc = d.data();
-      double* dtp = dt.data();
+  // Pass 1: coeffs = Sᵀ D t, one k-vector partial per block folded in
+  // block order (bitwise identical at any thread count).
+  const std::vector<double> coeffs = ParallelReduce(
+      n, kStreamGrain, std::vector<double>(k),
+      [&](std::int64_t lo, std::int64_t hi) {
+        // Locals, not captures, inside the simd loops (see vector_ops).
+        const double* tp = t.data();
+        const double* dp = d.data();
+        std::vector<double> local(k);
+        double dt[kStreamGrain];  // d[i]*t[i], shared across all k columns
 #pragma omp simd
-      for (std::int64_t i = lo; i < hi; ++i) {
-        dtp[i - lo] = dpc[i] * tpc[i];
-      }
-      for (std::size_t idx = 0; idx < k; ++idx) {
-        const double* col = cols[idx];
-        double acc = 0.0;
+        for (std::int64_t i = lo; i < hi; ++i) dt[i - lo] = dp[i] * tp[i];
+        for (std::size_t idx = 0; idx < k; ++idx) {
+          const double* col = cols[idx];
+          double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-        for (std::int64_t i = lo; i < hi; ++i) {
-          acc += col[i] * dtp[i - lo];
+          for (std::int64_t i = lo; i < hi; ++i) acc += col[i] * dt[i - lo];
+          local[idx] = acc;
         }
-        local[idx] += acc;
-      }
-    }
-  }
-  for (const auto& local : partials) {
-    for (std::size_t idx = 0; idx < k; ++idx) coeffs[idx] += local[idx];
-  }
+        return local;
+      },
+      [](std::vector<double> acc, std::vector<double> block) {
+        for (std::size_t idx = 0; idx < acc.size(); ++idx) {
+          acc[idx] += block[idx];
+        }
+        return acc;
+      });
 
   // Pass 2: t -= sum_j coeffs[j] * s_j, fused over all kept columns.
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-      const std::int64_t lo = chunk * kChunk;
-      const std::int64_t hi = std::min(n, lo + kChunk);
-      double* tpc = t.data();
-      for (std::size_t idx = 0; idx < k; ++idx) {
-        const double c = coeffs[idx];
-        const double* col = cols[idx];
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    double* tp = t.data();
+    for (std::size_t idx = 0; idx < k; ++idx) {
+      const double c = coeffs[idx];
+      const double* col = cols[idx];
 #pragma omp simd
-        for (std::int64_t i = lo; i < hi; ++i) {
-          tpc[i] -= c * col[i];
-        }
-      }
+      for (std::int64_t i = lo; i < hi; ++i) tp[i] -= c * col[i];
     }
-  }
+  });
   obs::CounterAdd(obs::Counter::kDOrthoSweeps, 2);
 }
 
@@ -256,24 +233,25 @@ double OrthonormalityResidual(const DenseMatrix& S, std::span<const double> d) {
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = i; j < k; ++j) pairs.emplace_back(i, j);
   }
-  const auto npairs = static_cast<std::int64_t>(pairs.size());
-  const double* dp = d.data();
-
-  double worst = 0.0;
-#pragma omp parallel for reduction(max : worst) schedule(dynamic, 8)
-  for (std::int64_t p = 0; p < npairs; ++p) {
-    const auto [i, j] = pairs[static_cast<std::size_t>(p)];
-    const double* a = S.Col(i).data();
-    const double* b = S.Col(j).data();
-    double dot = 0.0;
+  // Eight pairs per block: at s=64 that is 260 blocks of O(n) dots.
+  return ParallelReduce(
+      static_cast<std::int64_t>(pairs.size()), 8, 0.0,
+      [&](std::int64_t lo, std::int64_t hi) {
+        const double* dp = d.data();
+        double worst = 0.0;
+        for (std::int64_t p = lo; p < hi; ++p) {
+          const auto [i, j] = pairs[static_cast<std::size_t>(p)];
+          const double* a = S.Col(i).data();
+          const double* b = S.Col(j).data();
+          double dot = 0.0;
 #pragma omp simd reduction(+ : dot)
-    for (std::int64_t r = 0; r < n; ++r) {
-      dot += a[r] * dp[r] * b[r];
-    }
-    const double expected = (i == j) ? 1.0 : 0.0;
-    worst = std::max(worst, std::abs(dot - expected));
-  }
-  return worst;
+          for (std::int64_t r = 0; r < n; ++r) dot += a[r] * dp[r] * b[r];
+          const double expected = (i == j) ? 1.0 : 0.0;
+          worst = std::max(worst, std::abs(dot - expected));
+        }
+        return worst;
+      },
+      [](double a, double b) { return std::max(a, b); });
 }
 
 }  // namespace parhde

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 #if defined(__linux__)
@@ -12,18 +13,19 @@
 #include <limits>
 
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
 #include "resilience/fault_injection.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
 
-/// Vertex-chunk width for the blocked kernel's compute pass: the unit of
-/// dynamic scheduling (skewed-degree graphs need small chunks for balance)
-/// and small enough that a chunk's CSR slice plus its output columns stay
-/// L2-resident while the tile gathers stream through.
-constexpr vid_t kSpmmVertexChunk = 2048;
+/// Vertex-chunk width of the SpMM kernels' parallel blocks: small enough
+/// that a chunk's CSR slice plus its output columns stay L2-resident while
+/// the tile gathers stream through.
+constexpr std::int64_t kSpmmVertexChunk = 2048;
+
+/// Vertices per block for the single-vector and explicit-matrix kernels.
+constexpr std::int64_t kVertexGrain = 1024;
 
 /// Fold-expression lane helpers: fully unroll the CB-wide updates so the
 /// accumulators stay in vector registers across the whole neighbor loop.
@@ -172,6 +174,24 @@ void SpmmChunk(const CsrGraph& graph, const double* tile, double* const* y,
   }
 }
 
+/// Runs fn(c, lo, hi) over row ranges of the flattened column-major index
+/// space c * rows + row, cut into grain-sized blocks and split again at
+/// column boundaries — the per-column kernels' "loop collapse" over
+/// (column, vertex chunk) pairs.
+template <class Fn>
+void ForEachColumnRange(std::size_t k, std::int64_t rows, std::int64_t grain,
+                        Fn&& fn) {
+  ParallelFor(static_cast<std::int64_t>(k) * rows, grain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi;) {
+                  const std::int64_t c = i / rows;
+                  const std::int64_t end = std::min(hi, (c + 1) * rows);
+                  fn(static_cast<std::size_t>(c), i - c * rows, end - c * rows);
+                  i = end;
+                }
+              });
+}
+
 }  // namespace
 
 int ResolveSpmmBlockWidth(int requested, std::size_t k, std::size_t rows) {
@@ -191,44 +211,29 @@ void LaplacianTimesMatrixFused(const CsrGraph& graph, const DenseMatrix& S,
   const bool weighted = graph.HasWeights();
   const auto& degrees = graph.WeightedDegrees();
 
-  // Parallelize over (column, vertex-chunk) pairs via collapse, matching
-  // the paper's "OpenMP code with loop collapse pragmas". Chunking the
-  // vertex dimension lets the column base pointers hoist out of the
-  // per-vertex loop (the naive collapse re-derived S.Col(c).data() per
-  // vertex).
-  const std::int64_t nchunks =
-      (static_cast<std::int64_t>(n) + kSpmmVertexChunk - 1) / kSpmmVertexChunk;
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for collapse(2) schedule(dynamic, 1) nowait
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-        const double* x = S.Col(c).data();
-        double* out = P.Col(c).data();
-        const auto lo = static_cast<vid_t>(chunk * kSpmmVertexChunk);
-        const auto hi =
-            static_cast<vid_t>(std::min<std::int64_t>(n, (chunk + 1) *
-                                                             kSpmmVertexChunk));
-        for (vid_t v = lo; v < hi; ++v) {
-          const auto vi = static_cast<std::size_t>(v);
-          const auto nbrs = graph.Neighbors(v);
-          double acc = degrees[vi] * x[vi];
-          if (weighted) {
-            const auto wts = graph.NeighborWeights(v);
-            for (std::size_t e = 0; e < nbrs.size(); ++e) {
-              acc -= wts[e] * x[static_cast<std::size_t>(nbrs[e])];
-            }
-          } else {
-            for (const vid_t u : nbrs) acc -= x[static_cast<std::size_t>(u)];
-          }
-          out[vi] = acc;
+  // Parallelize over (column, vertex-chunk) pairs, matching the paper's
+  // "OpenMP code with loop collapse pragmas". Chunking the vertex dimension
+  // lets the column base pointers hoist out of the per-vertex loop.
+  ForEachColumnRange(k, n, kSpmmVertexChunk, [&](std::size_t c,
+                                                 std::int64_t lo,
+                                                 std::int64_t hi) {
+    const double* x = S.Col(c).data();
+    double* out = P.Col(c).data();
+    for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      const auto nbrs = graph.Neighbors(v);
+      double acc = degrees[vi] * x[vi];
+      if (weighted) {
+        const auto wts = graph.NeighborWeights(v);
+        for (std::size_t e = 0; e < nbrs.size(); ++e) {
+          acc -= wts[e] * x[static_cast<std::size_t>(nbrs[e])];
         }
+      } else {
+        for (const vid_t u : nbrs) acc -= x[static_cast<std::size_t>(u)];
       }
+      out[vi] = acc;
     }
-  }
+  });
   obs::CounterAdd(obs::Counter::kSpmmCalls, 1);
   obs::CounterAdd(obs::Counter::kSpmmEdgeSweeps,
                   static_cast<std::int64_t>(k));
@@ -262,9 +267,6 @@ void LaplacianTimesMatrixBlocked(const CsrGraph& graph, const DenseMatrix& S,
   // random-access side of the gather touches 1-2 cache lines per edge
   // instead of CB.
   const auto n_sz = static_cast<std::size_t>(n);
-  const std::int64_t n64 = n;
-  const std::int64_t nchunks =
-      (n64 + kSpmmVertexChunk - 1) / kSpmmVertexChunk;
   // 64-byte-align the tile so a CB=8 row is exactly one cache line and a
   // CB=16 row exactly two — unaligned rows straddle an extra line per
   // gather, which erases most of the blocking win.
@@ -287,33 +289,23 @@ void LaplacianTimesMatrixBlocked(const CsrGraph& graph, const DenseMatrix& S,
     madvise(reinterpret_cast<void*>(lo_addr), len, MADV_HUGEPAGE);
   }
 #endif
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-    for (std::size_t b = 0; b < k; b += static_cast<std::size_t>(cb)) {
-      const int width = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(cb), k - b));
-      const double* const* x = xs.data() + b;
-      // Pack (implicit barrier before the compute pass reads the tile).
-#pragma omp for schedule(static)
-      for (std::int64_t v = 0; v < n64; ++v) {
+  for (std::size_t b = 0; b < k; b += static_cast<std::size_t>(cb)) {
+    const int width = static_cast<int>(
+        std::min<std::size_t>(static_cast<std::size_t>(cb), k - b));
+    const double* const* x = xs.data() + b;
+    ParallelFor(n, kSpmmVertexChunk, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t v = lo; v < hi; ++v) {
         double* row = tp + static_cast<std::size_t>(v) *
                                static_cast<std::size_t>(width);
         for (int c = 0; c < width; ++c) {
           row[c] = x[c][static_cast<std::size_t>(v)];
         }
       }
-      // Compute (implicit barrier before the next block repacks the tile).
-#pragma omp for schedule(dynamic, 1)
-      for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-        const auto lo = static_cast<vid_t>(chunk * kSpmmVertexChunk);
-        const auto hi = static_cast<vid_t>(
-            std::min<std::int64_t>(n64, (chunk + 1) * kSpmmVertexChunk));
-        SpmmChunk(graph, tp, ys.data() + b, deg, lo, hi, weighted, width);
-      }
-    }
+    });
+    ParallelFor(n, kSpmmVertexChunk, [&](std::int64_t lo, std::int64_t hi) {
+      SpmmChunk(graph, tp, ys.data() + b, deg, static_cast<vid_t>(lo),
+                static_cast<vid_t>(hi), weighted, width);
+    });
   }
 
   const auto blocks = static_cast<std::int64_t>(
@@ -345,20 +337,22 @@ void LaplacianTimesVector(const CsrGraph& graph, std::span<const double> x,
   assert(x.size() == static_cast<std::size_t>(n) && y.size() == x.size());
   const bool weighted = graph.HasWeights();
   const auto& degrees = graph.WeightedDegrees();
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    const auto nbrs = graph.Neighbors(v);
-    double acc = degrees[static_cast<std::size_t>(v)] * x[static_cast<std::size_t>(v)];
-    if (weighted) {
-      const auto wts = graph.NeighborWeights(v);
-      for (std::size_t e = 0; e < nbrs.size(); ++e) {
-        acc -= wts[e] * x[static_cast<std::size_t>(nbrs[e])];
+  ParallelFor(n, kVertexGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+      const auto nbrs = graph.Neighbors(v);
+      double acc = degrees[static_cast<std::size_t>(v)] *
+                   x[static_cast<std::size_t>(v)];
+      if (weighted) {
+        const auto wts = graph.NeighborWeights(v);
+        for (std::size_t e = 0; e < nbrs.size(); ++e) {
+          acc -= wts[e] * x[static_cast<std::size_t>(nbrs[e])];
+        }
+      } else {
+        for (const vid_t u : nbrs) acc -= x[static_cast<std::size_t>(u)];
       }
-    } else {
-      for (const vid_t u : nbrs) acc -= x[static_cast<std::size_t>(u)];
+      y[static_cast<std::size_t>(v)] = acc;
     }
-    y[static_cast<std::size_t>(v)] = acc;
-  }
+  });
 }
 
 ExplicitLaplacian BuildExplicitLaplacian(const CsrGraph& graph) {
@@ -375,28 +369,30 @@ ExplicitLaplacian BuildExplicitLaplacian(const CsrGraph& graph) {
   L.values.resize(nnz);
   const bool weighted = graph.HasWeights();
 
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    auto out = static_cast<std::size_t>(L.offsets[static_cast<std::size_t>(v)]);
-    const auto nbrs = graph.Neighbors(v);
-    bool diagonal_emitted = false;
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const vid_t u = nbrs[e];
-      if (!diagonal_emitted && u > v) {
+  ParallelFor(n, kVertexGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+      auto out =
+          static_cast<std::size_t>(L.offsets[static_cast<std::size_t>(v)]);
+      const auto nbrs = graph.Neighbors(v);
+      bool diagonal_emitted = false;
+      for (std::size_t e = 0; e < nbrs.size(); ++e) {
+        const vid_t u = nbrs[e];
+        if (!diagonal_emitted && u > v) {
+          L.columns[out] = v;
+          L.values[out] = graph.WeightedDegree(v);
+          ++out;
+          diagonal_emitted = true;
+        }
+        L.columns[out] = u;
+        L.values[out] = -(weighted ? graph.NeighborWeights(v)[e] : 1.0);
+        ++out;
+      }
+      if (!diagonal_emitted) {
         L.columns[out] = v;
         L.values[out] = graph.WeightedDegree(v);
-        ++out;
-        diagonal_emitted = true;
       }
-      L.columns[out] = u;
-      L.values[out] = -(weighted ? graph.NeighborWeights(v)[e] : 1.0);
-      ++out;
     }
-    if (!diagonal_emitted) {
-      L.columns[out] = v;
-      L.values[out] = graph.WeightedDegree(v);
-    }
-  }
+  });
   return L;
 }
 
@@ -416,90 +412,22 @@ void LaplacianTimesMatrixExplicit(const ExplicitLaplacian& L,
   assert(S.Rows() == static_cast<std::size_t>(n));
   assert(P.Rows() == S.Rows() && P.Cols() == k);
 
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-#pragma omp for collapse(2) schedule(dynamic, 1024) nowait
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const double* x = S.Col(c).data();
-        double acc = 0.0;
-        const auto lo =
-            static_cast<std::size_t>(L.offsets[static_cast<std::size_t>(i)]);
-        const auto hi = static_cast<std::size_t>(
-            L.offsets[static_cast<std::size_t>(i) + 1]);
-        for (std::size_t e = lo; e < hi; ++e) {
-          acc += L.values[e] * x[static_cast<std::size_t>(L.columns[e])];
-        }
-        P.Col(c)[static_cast<std::size_t>(i)] = acc;
+  ForEachColumnRange(k, n, kVertexGrain, [&](std::size_t c, std::int64_t lo,
+                                             std::int64_t hi) {
+    const double* x = S.Col(c).data();
+    double* out = P.Col(c).data();
+    for (std::int64_t i = lo; i < hi; ++i) {
+      double acc = 0.0;
+      const auto e_lo =
+          static_cast<std::size_t>(L.offsets[static_cast<std::size_t>(i)]);
+      const auto e_hi = static_cast<std::size_t>(
+          L.offsets[static_cast<std::size_t>(i) + 1]);
+      for (std::size_t e = e_lo; e < e_hi; ++e) {
+        acc += L.values[e] * x[static_cast<std::size_t>(L.columns[e])];
       }
+      out[static_cast<std::size_t>(i)] = acc;
     }
-  }
-}
-
-void LaplacianTimesMatrixRowMajor(const CsrGraph& graph, const DenseMatrix& S,
-                                  DenseMatrix& P) {
-  const vid_t n = graph.NumVertices();
-  const std::size_t k = S.Cols();
-  assert(S.Rows() == static_cast<std::size_t>(n));
-  assert(P.Rows() == S.Rows() && P.Cols() == k);
-  const bool weighted = graph.HasWeights();
-  const auto& degrees = graph.WeightedDegrees();
-
-  // Transpose S into row-major scratch: row v is the contiguous s-vector
-  // S(v, :). Cost: one streaming pass; pays for itself once each adjacency
-  // is reused k times.
-  std::vector<double> rows(static_cast<std::size_t>(n) * k);
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    for (std::size_t c = 0; c < k; ++c) {
-      rows[static_cast<std::size_t>(v) * k + c] =
-          S.At(static_cast<std::size_t>(v), c);
-    }
-  }
-
-  std::vector<double> out(static_cast<std::size_t>(n) * k);
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-    std::vector<double> acc(k);
-#pragma omp for schedule(dynamic, 512)
-    for (vid_t v = 0; v < n; ++v) {
-      const double deg = degrees[static_cast<std::size_t>(v)];
-      const double* self = rows.data() + static_cast<std::size_t>(v) * k;
-      for (std::size_t c = 0; c < k; ++c) acc[c] = deg * self[c];
-      const auto nbrs = graph.Neighbors(v);
-      if (weighted) {
-        const auto wts = graph.NeighborWeights(v);
-        for (std::size_t e = 0; e < nbrs.size(); ++e) {
-          const double* nb =
-              rows.data() + static_cast<std::size_t>(nbrs[e]) * k;
-          const double w = wts[e];
-          for (std::size_t c = 0; c < k; ++c) acc[c] -= w * nb[c];
-        }
-      } else {
-        for (const vid_t u : nbrs) {
-          const double* nb = rows.data() + static_cast<std::size_t>(u) * k;
-          for (std::size_t c = 0; c < k; ++c) acc[c] -= nb[c];
-        }
-      }
-      double* dst = out.data() + static_cast<std::size_t>(v) * k;
-      for (std::size_t c = 0; c < k; ++c) dst[c] = acc[c];
-    }
-  }
-
-  // Transpose back into the column-major result.
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    for (std::size_t c = 0; c < k; ++c) {
-      P.At(static_cast<std::size_t>(v), c) =
-          out[static_cast<std::size_t>(v) * k + c];
-    }
-  }
+  });
 }
 
 void TransitionTimesVector(const CsrGraph& graph, std::span<const double> x,
@@ -507,21 +435,22 @@ void TransitionTimesVector(const CsrGraph& graph, std::span<const double> x,
   const vid_t n = graph.NumVertices();
   assert(x.size() == static_cast<std::size_t>(n) && y.size() == x.size());
   const bool weighted = graph.HasWeights();
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    const auto nbrs = graph.Neighbors(v);
-    double acc = 0.0;
-    if (weighted) {
-      const auto wts = graph.NeighborWeights(v);
-      for (std::size_t e = 0; e < nbrs.size(); ++e) {
-        acc += wts[e] * x[static_cast<std::size_t>(nbrs[e])];
+  ParallelFor(n, kVertexGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+      const auto nbrs = graph.Neighbors(v);
+      double acc = 0.0;
+      if (weighted) {
+        const auto wts = graph.NeighborWeights(v);
+        for (std::size_t e = 0; e < nbrs.size(); ++e) {
+          acc += wts[e] * x[static_cast<std::size_t>(nbrs[e])];
+        }
+      } else {
+        for (const vid_t u : nbrs) acc += x[static_cast<std::size_t>(u)];
       }
-    } else {
-      for (const vid_t u : nbrs) acc += x[static_cast<std::size_t>(u)];
+      const double deg = graph.WeightedDegree(v);
+      y[static_cast<std::size_t>(v)] = deg > 0.0 ? acc / deg : 0.0;
     }
-    const double deg = graph.WeightedDegree(v);
-    y[static_cast<std::size_t>(v)] = deg > 0.0 ? acc / deg : 0.0;
-  }
+  });
 }
 
 double LaplacianQuadraticForm(const CsrGraph& graph,
@@ -529,19 +458,24 @@ double LaplacianQuadraticForm(const CsrGraph& graph,
   const vid_t n = graph.NumVertices();
   assert(x.size() == static_cast<std::size_t>(n));
   const bool weighted = graph.HasWeights();
-  double total = 0.0;
-#pragma omp parallel for reduction(+ : total) schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    const auto nbrs = graph.Neighbors(v);
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const vid_t u = nbrs[e];
-      if (u <= v) continue;  // count each undirected edge once
-      const double diff =
-          x[static_cast<std::size_t>(v)] - x[static_cast<std::size_t>(u)];
-      total += (weighted ? graph.NeighborWeights(v)[e] : 1.0) * diff * diff;
-    }
-  }
-  return total;
+  return ParallelReduce(
+      n, kVertexGrain, 0.0,
+      [&](std::int64_t lo, std::int64_t hi) {
+        double total = 0.0;
+        for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+          const auto nbrs = graph.Neighbors(v);
+          for (std::size_t e = 0; e < nbrs.size(); ++e) {
+            const vid_t u = nbrs[e];
+            if (u <= v) continue;  // count each undirected edge once
+            const double diff = x[static_cast<std::size_t>(v)] -
+                                x[static_cast<std::size_t>(u)];
+            total +=
+                (weighted ? graph.NeighborWeights(v)[e] : 1.0) * diff * diff;
+          }
+        }
+        return total;
+      },
+      std::plus<>());
 }
 
 }  // namespace parhde

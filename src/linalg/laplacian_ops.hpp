@@ -6,7 +6,7 @@
 // (diagonal included) and runs a generic SpMM through it — the stand-in for
 // MKL's mkl_sparse_d_mm in the §4.4 comparison.
 //
-// Three fused layouts cover the s spectrum:
+// Two fused layouts cover the s spectrum:
 //   * per-column (LaplacianTimesMatrixFused): one CSR traversal per column —
 //     the paper-literal reference, still optimal at s = 1;
 //   * column-blocked (LaplacianTimesMatrixBlocked): CB ∈ {4, 8, 16} columns
@@ -14,11 +14,8 @@
 //     first packed into a vertex-contiguous row-major tile, so one edge
 //     gather reads CB consecutive doubles (1-2 cache lines) instead of CB
 //     lines scattered across column arrays, and each edge's index and
-//     weight are loaded once per *block* instead of once per *column*;
-//   * row-major (LaplacianTimesMatrixRowMajor): transpose S so each
-//     adjacency is traversed once for all s columns — wins only when the
-//     transposition passes amortize (billion-edge regime).
-// LaplacianTimesMatrix dispatches between the first two from SpmmOptions.
+//     weight are loaded once per *block* instead of once per *column*.
+// LaplacianTimesMatrix dispatches between them from SpmmOptions.
 #pragma once
 
 #include "graph/csr_graph.hpp"
@@ -92,15 +89,6 @@ std::int64_t ExplicitLaplacianBytes(const CsrGraph& graph);
 /// P = L · S through the explicit matrix — generic CSR SpMM.
 void LaplacianTimesMatrixExplicit(const ExplicitLaplacian& L,
                                   const DenseMatrix& S, DenseMatrix& P);
-
-/// P = L · S, adjacency-reuse variant for the s ≫ 1 regime (§3.1's "can be
-/// further improved for special cases"): S is transposed into a row-major
-/// scratch buffer so each vertex's adjacency list is traversed ONCE with a
-/// contiguous s-wide inner loop (arithmetic intensity s), instead of the
-/// fused kernel's one traversal per column. The scratch buffer costs an
-/// extra s·n doubles.
-void LaplacianTimesMatrixRowMajor(const CsrGraph& graph, const DenseMatrix& S,
-                                  DenseMatrix& P);
 
 /// y = (D^{-1} A) x — one step of the walk-matrix power iteration used by
 /// the §4.5.3 eigensolver-preprocessing extension.

@@ -10,6 +10,7 @@
 #include "linalg/laplacian_ops.hpp"
 #include "linalg/vector_ops.hpp"
 #include "resilience/deadline.hpp"
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace parhde {
@@ -74,14 +75,13 @@ LobpcgResult Lobpcg(const CsrGraph& graph, const LobpcgOptions& options,
       auto r = R.Col(c);
       const auto x = X.Col(c);
       const auto lx = LX.Col(c);
-      const auto nn = static_cast<std::int64_t>(n);
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < nn; ++i) {
-        r[static_cast<std::size_t>(i)] =
-            lx[static_cast<std::size_t>(i)] -
-            lambda * d[static_cast<std::size_t>(i)] *
-                x[static_cast<std::size_t>(i)];
-      }
+      ParallelFor(static_cast<std::int64_t>(n), kStreamGrain,
+                  [&](std::int64_t lo, std::int64_t hi) {
+                    for (std::int64_t i = lo; i < hi; ++i) {
+                      const auto j = static_cast<std::size_t>(i);
+                      r[j] = lx[j] - lambda * d[j] * x[j];
+                    }
+                  });
       const double denom =
           std::max(1.0, std::abs(lambda) * std::sqrt(xdx));
       result.residuals[c] = Norm2(r) / denom;
@@ -97,13 +97,13 @@ LobpcgResult Lobpcg(const CsrGraph& graph, const LobpcgOptions& options,
     for (std::size_t c = 0; c < k; ++c) {
       const auto r = R.Col(c);
       auto w = W.Col(c);
-      const auto nn = static_cast<std::int64_t>(n);
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < nn; ++i) {
-        const double dd = d[static_cast<std::size_t>(i)];
-        w[static_cast<std::size_t>(i)] =
-            dd > 0 ? r[static_cast<std::size_t>(i)] / dd : 0.0;
-      }
+      ParallelFor(static_cast<std::int64_t>(n), kStreamGrain,
+                  [&](std::int64_t lo, std::int64_t hi) {
+                    for (std::int64_t i = lo; i < hi; ++i) {
+                      const auto j = static_cast<std::size_t>(i);
+                      w[j] = d[j] > 0 ? r[j] / d[j] : 0.0;
+                    }
+                  });
     }
 
     // Basis V = [1 | X | W | P], D-orthonormalized; the constant column

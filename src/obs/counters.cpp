@@ -1,8 +1,6 @@
 #include "obs/counters.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 #include "util/run_context.hpp"
 
@@ -206,24 +204,6 @@ std::vector<std::int64_t> SeriesValues(Series s) {
 
 std::int64_t SeriesDropped(Series s) {
   return util::CurrentRunContext()->counters().Dropped(s);
-}
-
-void ResetCounters() {
-  // Resolve the context FIRST: the global one is lazily built, and it must
-  // be counted before the liveness check below or a pre-existing second
-  // context could slip past it.
-  obs::CounterStore& store = util::CurrentRunContext()->counters();
-  // LiveCount() includes the (now constructed) global context; anything
-  // above one means another run owns state right now and a blanket reset
-  // would corrupt it — fail loudly, NDEBUG included.
-  if (util::RunContext::LiveCount() > 1) {
-    std::fprintf(stderr,
-                 "parhde: ResetCounters() called while %lld run contexts are "
-                 "live; use per-context snapshots instead\n",
-                 static_cast<long long>(util::RunContext::LiveCount()));
-    std::abort();
-  }
-  store.Reset();
 }
 
 std::vector<CounterSnapshot> SnapshotCounters() {

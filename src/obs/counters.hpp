@@ -182,14 +182,6 @@ std::vector<std::int64_t> SeriesValues(Series s);
 /// Observations discarded after the cap, for truncation reporting.
 std::int64_t SeriesDropped(Series s);
 
-/// DEPRECATED between-runs reset. Run deltas now come from per-context
-/// snapshots — construct a fresh util::RunContext instead of resetting a
-/// shared one. Kept as a shim for legacy tests; aborts (release mode
-/// included) when a second run context is live, because resetting the
-/// active store under a concurrent run is exactly the footgun the context
-/// refactor removed.
-void ResetCounters();
-
 /// Merged totals for all counters in the active context.
 std::vector<CounterSnapshot> SnapshotCounters();
 

@@ -63,9 +63,8 @@ void RunReport::CollectObservability() {
 void ResetObservability() {
   // Clears the *active* RunContext's run-scoped state in one shot (counters,
   // series, traces, thread-phase table, recovery log, fault fired-counts).
-  // Deliberately not the per-subsystem free functions: ResetCounters() is a
-  // deprecated shim that aborts when a second context is live, and this
-  // path must stay safe for a CLI run while the service is embedded.
+  // Only the active context is touched, so this stays safe for a CLI run
+  // while the service is embedded.
   util::CurrentRunContext()->ResetRunState();
   // The hwperf layer is process-global (per-OS-thread perf_event fds), not
   // part of any RunContext, so it is reset separately.

@@ -142,14 +142,8 @@ void AddThreadTime(const char* phase, int tid, double seconds);
 
 /// RAII timer for use INSIDE an OpenMP parallel region: times this thread's
 /// execution of the region body and charges it to the active phase context.
-///
-///   #pragma omp parallel
-///   {
-///     util::ScopedRunContext run_scope(*run_ctx);  // team binding first
-///     obs::ScopedRegionTimer obs_timer;
-///     ... region body ...
-///   }
-///
+/// ParallelFor/ParallelReduce (util/parallel.hpp) start one per team thread
+/// after binding the run context; kernels never construct it themselves.
 /// Costs one TLS read + one atomic load when no context is active.
 class ScopedRegionTimer {
  public:

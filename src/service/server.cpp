@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <omp.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -115,8 +116,16 @@ void LayoutService::Start() {
 
   const int workers = options_.workers < 1 ? 1 : options_.workers;
   workers_.reserve(static_cast<std::size_t>(workers));
+  // OpenMP's thread count is a per-thread setting that a new std::thread
+  // does not inherit: each worker adopts the starting thread's, so a
+  // daemon-wide omp_set_num_threads (parhde_serve --threads) reaches the
+  // requests' kernels.
+  const int omp_threads = omp_get_max_threads();
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, omp_threads] {
+      omp_set_num_threads(omp_threads);
+      WorkerLoop();
+    });
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
 }

@@ -6,12 +6,11 @@
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
 #include "obs/trace.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/fault_injection.hpp"
 #include "sssp/delta_stepping.hpp"
-#include "util/run_context.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 
@@ -32,6 +31,7 @@ std::size_t SerialBucketOf(weight_t d, weight_t inv_delta) {
 }
 
 struct SerialSsspStats {
+  std::int64_t searches = 0;
   std::int64_t settled = 0;
   std::int64_t edges_scanned = 0;
 };
@@ -109,56 +109,53 @@ void ConcurrentSsspToColumns(const CsrGraph& graph,
   const vid_t n = graph.NumVertices();
   const auto count = static_cast<int>(sources.size());
   if (delta <= 0.0) delta = DefaultDelta(graph);
-  std::int64_t searches = 0;
-  std::int64_t settled = 0;
-  std::int64_t edges_scanned = 0;
   std::atomic<bool> cancel{false};
 
-  util::RunContext* const run_ctx = util::CurrentRunContext();
-#pragma omp parallel reduction(+ : searches, settled, edges_scanned)
-  {
-    util::ScopedRunContext run_scope(*run_ctx);
-    obs::ScopedRegionTimer obs_timer;
-    // Per-thread scratch, allocated once and reused across the thread's
-    // share of the searches.
-    std::vector<std::vector<vid_t>> buckets;
-    std::vector<weight_t> dist;
-    SerialSsspStats ss;
-#pragma omp for schedule(dynamic, 1) nowait
-    for (int i = 0; i < count; ++i) {
-      if (!SerialDeltaStepping(graph, sources[static_cast<std::size_t>(i)],
-                               delta, buckets, dist, ss, cancel)) {
-        continue;  // cancelled: skip the column write, throw after the join
-      }
-      ++searches;
+  // One search per block; the stats fold in source order.
+  const SerialSsspStats total = ParallelReduce(
+      count, 1, SerialSsspStats{},
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<std::vector<vid_t>> buckets;
+        std::vector<weight_t> dist;
+        SerialSsspStats ss;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          if (!SerialDeltaStepping(graph, sources[static_cast<std::size_t>(i)],
+                                   delta, buckets, dist, ss, cancel)) {
+            continue;  // cancelled: skip the column write, throw after
+          }
+          ++ss.searches;
 
-      auto column = B.Col(first_col + static_cast<std::size_t>(i));
-      weight_t max_finite = 0.0;
-      for (vid_t v = 0; v < n; ++v) {
-        const weight_t d = dist[static_cast<std::size_t>(v)];
-        if (std::isfinite(d)) max_finite = std::max(max_finite, d);
-      }
-      const weight_t sentinel =
-          WeightedUnreachableSentinel(max_finite, max_weight, n);
-      for (vid_t v = 0; v < n; ++v) {
-        const weight_t d = dist[static_cast<std::size_t>(v)];
-        column[static_cast<std::size_t>(v)] = std::isfinite(d) ? d : sentinel;
-      }
-    }
-    settled += ss.settled;
-    edges_scanned += ss.edges_scanned;
-  }
+          auto column = B.Col(first_col + static_cast<std::size_t>(i));
+          weight_t max_finite = 0.0;
+          for (vid_t v = 0; v < n; ++v) {
+            const weight_t d = dist[static_cast<std::size_t>(v)];
+            if (std::isfinite(d)) max_finite = std::max(max_finite, d);
+          }
+          const weight_t sentinel =
+              WeightedUnreachableSentinel(max_finite, max_weight, n);
+          for (vid_t v = 0; v < n; ++v) {
+            const weight_t d = dist[static_cast<std::size_t>(v)];
+            column[static_cast<std::size_t>(v)] =
+                std::isfinite(d) ? d : sentinel;
+          }
+        }
+        return ss;
+      },
+      [](SerialSsspStats a, SerialSsspStats b) {
+        return SerialSsspStats{a.searches + b.searches, a.settled + b.settled,
+                               a.edges_scanned + b.edges_scanned};
+      });
 
   // Flush aggregate work counters once per driver call — never per edge.
-  obs::CounterAdd(obs::Counter::kSsspSequentialSearches, searches);
-  obs::CounterAdd(obs::Counter::kSsspRelaxations, edges_scanned);
+  obs::CounterAdd(obs::Counter::kSsspSequentialSearches, total.searches);
+  obs::CounterAdd(obs::Counter::kSsspRelaxations, total.edges_scanned);
   if (cancel.load(std::memory_order_relaxed)) {
     resilience::ThrowDeadlineExceeded("SSSP");
   }
   if (stats) {
-    stats->searches += searches;
-    stats->settled += settled;
-    stats->edges_scanned += edges_scanned;
+    stats->searches += total.searches;
+    stats->settled += total.settled;
+    stats->edges_scanned += total.edges_scanned;
   }
 }
 

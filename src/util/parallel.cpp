@@ -19,90 +19,63 @@ ThreadCountGuard::~ThreadCountGuard() { SetNumThreads(saved_); }
 
 void ExclusivePrefixSum(const std::vector<eid_t>& counts,
                         std::vector<eid_t>& out) {
-  const std::size_t n = counts.size();
-  out.resize(n + 1);
-  int team = 1;
-  std::vector<eid_t> block_total;
-
-#pragma omp parallel
-  {
-#pragma omp single
-    {
-      team = omp_get_num_threads();
-      block_total.assign(static_cast<std::size_t>(team) + 1, 0);
-    }
-    // Implicit barrier after `single` guarantees block_total is allocated.
-    const int tid = omp_get_thread_num();
-    const std::size_t chunk = (n + team - 1) / static_cast<std::size_t>(team);
-    const std::size_t lo = std::min(n, chunk * static_cast<std::size_t>(tid));
-    const std::size_t hi = std::min(n, lo + chunk);
-
+  const auto n = static_cast<std::int64_t>(counts.size());
+  out.resize(counts.size() + 1);
+  // Pass 1: per-block totals; serial scan of the totals; pass 2: each block
+  // writes its running sums from its scanned offset.
+  std::vector<eid_t> block_start(
+      static_cast<std::size_t>((n + kStreamGrain - 1) / kStreamGrain) + 1, 0);
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
     eid_t local = 0;
-    for (std::size_t i = lo; i < hi; ++i) local += counts[i];
-    block_total[static_cast<std::size_t>(tid) + 1] = local;
-
-#pragma omp barrier
-#pragma omp single
-    {
-      for (int t = 0; t < team; ++t) block_total[t + 1] += block_total[t];
+    for (std::int64_t i = lo; i < hi; ++i) {
+      local += counts[static_cast<std::size_t>(i)];
     }
-
-    eid_t running = block_total[tid];
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = running;
-      running += counts[i];
-    }
+    block_start[static_cast<std::size_t>(lo / kStreamGrain) + 1] = local;
+  });
+  for (std::size_t b = 1; b < block_start.size(); ++b) {
+    block_start[b] += block_start[b - 1];
   }
-  out[n] = block_total[static_cast<std::size_t>(team)];
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    eid_t running = block_start[static_cast<std::size_t>(lo / kStreamGrain)];
+    for (std::int64_t i = lo; i < hi; ++i) {
+      out[static_cast<std::size_t>(i)] = running;
+      running += counts[static_cast<std::size_t>(i)];
+    }
+  });
+  out[counts.size()] = block_start.back();
 }
 
 vid_t ArgmaxFiniteDistance(const std::vector<dist_t>& dist) {
-  const auto n = static_cast<vid_t>(dist.size());
-  vid_t best = kInvalidVid;
-  dist_t best_d = -1;
-
-#pragma omp parallel
-  {
-    vid_t local_best = kInvalidVid;
-    dist_t local_d = -1;
-#pragma omp for nowait
-    for (vid_t v = 0; v < n; ++v) {
-      const dist_t d = dist[static_cast<std::size_t>(v)];
-      if (d == kInfDist) continue;
-      if (d > local_d || (d == local_d && v < local_best)) {
-        local_d = d;
-        local_best = v;
-      }
-    }
-#pragma omp critical
-    {
-      if (local_d > best_d ||
-          (local_d == best_d && local_best != kInvalidVid &&
-           (best == kInvalidVid || local_best < best))) {
-        best_d = local_d;
-        best = local_best;
-      }
-    }
-  }
-  return best;
+  struct Best {
+    dist_t d = -1;
+    vid_t v = kInvalidVid;
+  };
+  // Blocks are scanned, and folded, in ascending vertex order, so keeping
+  // the first vertex at a strictly larger distance is the smallest-id
+  // tie-break.
+  const Best best = ParallelReduce(
+      static_cast<std::int64_t>(dist.size()), kStreamGrain, Best{},
+      [&](std::int64_t lo, std::int64_t hi) {
+        Best local;
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const dist_t d = dist[static_cast<std::size_t>(i)];
+          if (d != kInfDist && d > local.d) local = {d, static_cast<vid_t>(i)};
+        }
+        return local;
+      },
+      [](Best acc, Best block) { return block.d > acc.d ? block : acc; });
+  return best.v;
 }
 
 void MinInto(std::vector<dist_t>& d, const std::vector<dist_t>& b) {
   assert(d.size() == b.size());
-  const auto n = static_cast<std::int64_t>(d.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    d[static_cast<std::size_t>(i)] =
-        std::min(d[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)]);
-  }
-}
-
-double ParallelSum(const std::vector<double>& v) {
-  const auto n = static_cast<std::int64_t>(v.size());
-  double total = 0.0;
-#pragma omp parallel for reduction(+ : total) schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) total += v[static_cast<std::size_t>(i)];
-  return total;
+  ParallelFor(static_cast<std::int64_t>(d.size()), kStreamGrain,
+              [&](std::int64_t lo, std::int64_t hi) {
+                for (std::int64_t i = lo; i < hi; ++i) {
+                  const auto k = static_cast<std::size_t>(i);
+                  d[k] = std::min(d[k], b[k]);
+                }
+              });
 }
 
 }  // namespace parhde

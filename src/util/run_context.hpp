@@ -14,22 +14,15 @@
 //
 // OpenMP propagation: the thread-local pointer does not cross the fork
 // into a parallel region (OpenMP workers are pool threads with their own
-// TLS), so every instrumented region entry captures the context on the
-// master and re-installs it on each team thread:
-//
-//   util::RunContext* const run_ctx = util::CurrentRunContext();
-//   #pragma omp parallel
-//   {
-//     util::ScopedRunContext run_scope(*run_ctx);
-//     obs::ScopedRegionTimer obs_timer;
-//     ... region body ...
-//   }
-//
-// ScopedRunContext is that one capture helper: the same class installs a
-// request context on a service worker and binds a team thread. Without the
-// team binding, a DeadlinePoll() inside an `omp single` (Δ-stepping) would
-// consult the GLOBAL token and miss the request's deadline entirely, and
-// counter flushes from worker threads would land in the wrong store.
+// TLS), so each team thread must re-install the caller's context. The
+// loop primitives ParallelFor/ParallelReduce (util/parallel.hpp) do that
+// for every kernel; Δ-stepping's persistent region is the one hand-written
+// binding. ScopedRunContext is the one install helper: the same class
+// activates a request context on a service worker and binds a team
+// thread. Without the team binding, a DeadlinePoll() inside an
+// `omp single` (Δ-stepping) would consult the GLOBAL token and miss the
+// request's deadline entirely, and counter flushes from worker threads
+// would land in the wrong store.
 //
 // Concurrency: two RunContexts are fully independent — the layout service
 // runs one per request, so deadline'd and deadline-free requests execute
@@ -103,8 +96,7 @@ class RunContext {
   void MergeInto(RunContext& dst) const;
 
   /// RunContexts currently alive, the global one included once it has been
-  /// constructed. The legacy ResetCounters() shim uses this to abort when
-  /// a blanket reset races a live run.
+  /// constructed.
   static std::int64_t LiveCount();
 
  private:

@@ -243,5 +243,19 @@ TEST_F(CliToolTest, BinarySnapshotInputWorks) {
   EXPECT_EQ(lines, 400);
 }
 
+TEST_F(CliToolTest, GenerateToBinaryThenLayout) {
+  // A .bin output path writes the binary CSR snapshot that `layout --in`
+  // reads back by the same suffix.
+  ASSERT_EQ(Run("generate --family=grid --rows=20 --cols=20 --out=" +
+                Path("g.bin")),
+            0)
+      << Log();
+  EXPECT_EQ(ReadBinaryFile(Path("g.bin")).NumVertices(), 400);
+  EXPECT_EQ(Run("layout --in=" + Path("g.bin") + " --s=6 --coords=" +
+                Path("g.xy")),
+            0)
+      << Log();
+}
+
 }  // namespace
 }  // namespace parhde

@@ -131,48 +131,6 @@ TEST(TransitionOps, IsolatedVertexGetsZero) {
   EXPECT_DOUBLE_EQ(y[2], 0.0);
 }
 
-TEST(LaplacianOps, RowMajorMatchesFused) {
-  const CsrGraph g = BuildCsrGraph(400, GenGrid2d(20, 20));
-  const std::size_t n = static_cast<std::size_t>(g.NumVertices());
-  for (const std::size_t k : {1u, 3u, 16u, 50u}) {
-    DenseMatrix S(n, k);
-    Xoshiro256 rng(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::size_t r = 0; r < n; ++r) S.At(r, c) = rng.NextDouble();
-    }
-    DenseMatrix fused(n, k), row_major(n, k);
-    LaplacianTimesMatrixFused(g, S, fused);
-    LaplacianTimesMatrixRowMajor(g, S, row_major);
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::size_t r = 0; r < n; ++r) {
-        ASSERT_NEAR(fused.At(r, c), row_major.At(r, c), 1e-10)
-            << "k=" << k << " r=" << r << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST(LaplacianOps, RowMajorWeightedMatchesFused) {
-  EdgeList edges = GenGrid2d(12, 12);
-  AssignRandomWeights(edges, 0.5, 4.0, 9);
-  BuildOptions opts;
-  opts.keep_weights = true;
-  const CsrGraph g = BuildCsrGraph(144, edges, opts);
-  DenseMatrix S(144, 6);
-  Xoshiro256 rng(17);
-  for (std::size_t c = 0; c < 6; ++c) {
-    for (std::size_t r = 0; r < 144; ++r) S.At(r, c) = rng.NextDouble();
-  }
-  DenseMatrix fused(144, 6), row_major(144, 6);
-  LaplacianTimesMatrixFused(g, S, fused);
-  LaplacianTimesMatrixRowMajor(g, S, row_major);
-  for (std::size_t c = 0; c < 6; ++c) {
-    for (std::size_t r = 0; r < 144; ++r) {
-      EXPECT_NEAR(fused.At(r, c), row_major.At(r, c), 1e-10);
-    }
-  }
-}
-
 class LaplacianGraphSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(LaplacianGraphSweep, FusedEqualsExplicitOnKron) {

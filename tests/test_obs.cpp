@@ -30,6 +30,7 @@
 #include "obs/trace.hpp"
 #include "json_test_util.hpp"
 #include "util/json_writer.hpp"
+#include "util/run_context.hpp"
 
 #ifndef PARHDE_CLI_PATH
 #define PARHDE_CLI_PATH ""
@@ -113,7 +114,7 @@ TEST(JsonWriter, RoundTripsLargeIntegersExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(Counters, MergesPerThreadShardsUnderOpenMp) {
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
   constexpr int kPerThread = 1000;
   int threads = 1;
 #pragma omp parallel
@@ -126,12 +127,12 @@ TEST(Counters, MergesPerThreadShardsUnderOpenMp) {
   }
   EXPECT_EQ(obs::CounterValue(obs::Counter::kBfsEdgesExamined),
             static_cast<std::int64_t>(threads) * kPerThread);
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
   EXPECT_EQ(obs::CounterValue(obs::Counter::kBfsEdgesExamined), 0);
 }
 
 TEST(Counters, SnapshotCoversEveryCounterWithStableNames) {
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
   obs::CounterAdd(obs::Counter::kBfsDirectionSwitches, 7);
   const auto snap = obs::SnapshotCounters();
   ASSERT_EQ(snap.size(),
@@ -144,11 +145,11 @@ TEST(Counters, SnapshotCoversEveryCounterWithStableNames) {
     }
   }
   EXPECT_TRUE(found);
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
 }
 
 TEST(Counters, SeriesCapsAndCountsDrops) {
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
   const auto total = static_cast<std::int64_t>(obs::kSeriesCap) + 16;
   for (std::int64_t i = 0; i < total; ++i) {
     obs::SeriesAppend(obs::Series::kBfsFrontierSizes, i);
@@ -157,7 +158,7 @@ TEST(Counters, SeriesCapsAndCountsDrops) {
   EXPECT_EQ(values.size(), obs::kSeriesCap);
   EXPECT_EQ(values.front(), 0);
   EXPECT_EQ(obs::SeriesDropped(obs::Series::kBfsFrontierSizes), 16);
-  obs::ResetCounters();
+  util::CurrentRunContext()->counters().Reset();
   EXPECT_TRUE(obs::SeriesValues(obs::Series::kBfsFrontierSizes).empty());
 }
 

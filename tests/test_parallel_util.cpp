@@ -2,8 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <numeric>
+#include <utility>
 #include <vector>
+
+#include "graph/builder.hpp"
+#include "graph/components.hpp"
+#include "graph/generators.hpp"
+#include "hde/parhde.hpp"
+#include "obs/counters.hpp"
+#include "util/prng.hpp"
+#include "util/run_context.hpp"
 
 namespace parhde {
 namespace {
@@ -99,11 +115,151 @@ TEST(MinInto, ElementwiseMinimum) {
   EXPECT_EQ(d, (std::vector<dist_t>{3, 1, 2, 7}));
 }
 
-TEST(ParallelSum, MatchesAccumulate) {
+TEST(ParallelReduce, MatchesAccumulate) {
   std::vector<double> v;
   for (int i = 0; i < 5000; ++i) v.push_back(0.25 * i);
   const double expected = std::accumulate(v.begin(), v.end(), 0.0);
-  EXPECT_DOUBLE_EQ(ParallelSum(v), expected);
+  const double sum = ParallelReduce(
+      static_cast<std::int64_t>(v.size()), 512, 0.0,
+      [&](std::int64_t lo, std::int64_t hi) {
+        return std::accumulate(v.begin() + lo, v.begin() + hi, 0.0);
+      },
+      std::plus<>());
+  EXPECT_DOUBLE_EQ(sum, expected);
+}
+
+TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
+  const double sum = ParallelReduce(
+      0, 64, 7.5, [](std::int64_t, std::int64_t) { return 1.0; },
+      std::plus<>());
+  EXPECT_EQ(sum, 7.5);
+}
+
+TEST(ParallelReduce, BitwiseIdenticalAcrossThreadCounts) {
+  // Values spanning many magnitudes make the sum sensitive to grouping:
+  // any thread-count-dependent combine order would change the last bits.
+  constexpr std::int64_t kGrain = 1000;
+  std::vector<double> v(50 * kGrain);
+  Xoshiro256 rng(3);
+  for (double& x : v) {
+    x = (rng.NextDouble() - 0.5) *
+        std::pow(10.0, static_cast<double>(rng.NextBounded(12)));
+  }
+  for (const std::int64_t n : {kGrain / 3, kGrain, 50 * kGrain}) {
+    const auto sum_at = [&](int threads) {
+      ThreadCountGuard guard(threads);
+      return ParallelReduce(
+          n, kGrain, 0.0,
+          [&](std::int64_t lo, std::int64_t hi) {
+            double s = 0.0;
+            for (std::int64_t i = lo; i < hi; ++i) {
+              s += v[static_cast<std::size_t>(i)];
+            }
+            return s;
+          },
+          std::plus<>());
+    };
+    const double one = sum_at(1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sum_at(2)),
+              std::bit_cast<std::uint64_t>(one)) << "n=" << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sum_at(4)),
+              std::bit_cast<std::uint64_t>(one)) << "n=" << n;
+  }
+}
+
+TEST(ParallelFor, VisitsEveryIndexOnceInGrainAlignedBlocks) {
+  ThreadCountGuard guard(4);
+  constexpr std::int64_t kN = 10007, kGrain = 100;
+  std::vector<int> hits(kN, 0);
+  std::atomic<bool> misaligned{false};
+  ParallelFor(kN, kGrain, [&](std::int64_t lo, std::int64_t hi) {
+    if (lo % kGrain != 0 || hi - lo > kGrain) misaligned = true;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      ++hits[static_cast<std::size_t>(i)];
+    }
+  });
+  EXPECT_FALSE(misaligned.load());
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), kN);
+}
+
+TEST(ParallelFor, TeamNeverOutnumbersBlocks) {
+  ThreadCountGuard guard(4);
+  const auto team_for = [](std::int64_t n, std::int64_t grain) {
+    std::atomic<int> team{0};
+    ParallelFor(n, grain, [&](std::int64_t, std::int64_t) {
+      team = std::max(team.load(), omp_get_num_threads());
+    });
+    return team.load();
+  };
+  EXPECT_EQ(team_for(64, 64), 1);    // n <= grain: serial
+  EXPECT_EQ(team_for(128, 64), 2);   // two blocks, two threads at most
+  EXPECT_EQ(team_for(4096, 64), 4);  // capped by the thread count
+}
+
+TEST(ParallelFor, CounterAddLandsInCallersContext) {
+  ThreadCountGuard guard(4);
+  util::RunContext ctx;
+  constexpr std::int64_t kN = 64 * 1024;
+  {
+    util::ScopedRunContext scope(ctx);
+    ParallelFor(kN, 1024, [](std::int64_t lo, std::int64_t hi) {
+      obs::CounterAdd(obs::Counter::kBfsEdgesExamined, hi - lo);
+    });
+  }
+  EXPECT_EQ(ctx.counters().Value(obs::Counter::kBfsEdgesExamined), kN);
+}
+
+TEST(ParallelFor, NestedCallRunsSerially) {
+  ThreadCountGuard guard(4);
+  std::atomic<int> nested_team{0};
+  std::atomic<int> nested_calls{0};
+  ParallelFor(8, 1, [&](std::int64_t, std::int64_t) {
+    ParallelFor(4096, 64, [&](std::int64_t, std::int64_t) {
+      ++nested_calls;
+      // Inline on the outer team's thread: no inner team is forked.
+      nested_team = std::max(nested_team.load(), omp_get_level());
+    });
+  });
+  EXPECT_EQ(nested_calls.load(), 8 * 64);
+  EXPECT_EQ(nested_team.load(), 1);
+}
+
+TEST(ParHdeThreadDeterminism, BitwiseIdenticalLayoutsAt124Threads) {
+  // Large enough that every kernel splits into several blocks and runs on
+  // a real team: a 150x150 grid for k-centers pivots (parallel BFS) and a
+  // low-diameter random graph for random pivots (64-lane multi-source BFS).
+  const CsrGraph grid = BuildCsrGraph(22500, GenGrid2d(150, 150));
+  const CsrGraph urand =
+      LargestComponent(
+          BuildCsrGraph(20000, GenUniformRandom(20000, 100000, 5)))
+          .graph;
+  HdeOptions kcenters;
+  kcenters.subspace_dim = 10;
+  kcenters.seed = 3;
+  HdeOptions random = kcenters;
+  random.pivots = PivotStrategy::Random;
+  random.kernel = DistanceKernel::MultiSourceBfs;
+  random.subspace_dim = 20;
+  const std::pair<const CsrGraph*, HdeOptions> cases[] = {{&grid, kcenters},
+                                                           {&urand, random}};
+  for (const auto& [graph, options] : cases) {
+    const auto layout_at = [&](int threads) {
+      ThreadCountGuard guard(threads);
+      return RunParHde(*graph, options).layout;
+    };
+    const auto bits = [](const std::vector<double>& axis) {
+      std::vector<std::uint64_t> out(axis.size());
+      std::transform(axis.begin(), axis.end(), out.begin(),
+                     [](double x) { return std::bit_cast<std::uint64_t>(x); });
+      return out;
+    };
+    const Layout one = layout_at(1);
+    for (const int threads : {2, 4}) {
+      const Layout many = layout_at(threads);
+      EXPECT_TRUE(bits(many.x) == bits(one.x)) << "threads=" << threads;
+      EXPECT_TRUE(bits(many.y) == bits(one.y)) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ThreadCountGuard, RestoresPreviousValue) {

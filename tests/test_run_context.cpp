@@ -1,7 +1,6 @@
 // util::RunContext tests: install/restore nesting, OpenMP-team
 // propagation, counter isolation between concurrent contexts, sibling
-// deadline independence, merge-on-completion semantics, and the
-// deprecated ResetCounters() shim. Suites are named RunContext* so the
+// deadline independence and merge-on-completion semantics. Suites are named RunContext* so the
 // TSan CI job's filter picks them up — the concurrent cases here are the
 // acceptance test for truly concurrent layouts.
 #include "util/run_context.hpp"
@@ -262,27 +261,6 @@ TEST(RunContextTest, LiveCountTracksConstruction) {
     EXPECT_EQ(RunContext::LiveCount(), before + 2);
   }
   EXPECT_EQ(RunContext::LiveCount(), before);
-}
-
-#if GTEST_HAS_DEATH_TEST
-TEST(RunContextDeathTest, ResetCountersShimAbortsWithLiveContext) {
-  // The deprecated blanket reset must refuse to run while a second
-  // context is live — it can no longer know whose run it would clobber.
-  EXPECT_DEATH(
-      {
-        RunContext extra;
-        obs::ResetCounters();
-      },
-      "ResetCounters");
-}
-#endif
-
-TEST(RunContextTest, ResetCountersShimStillWorksForSoleGlobal) {
-  // With only the global context alive, the legacy tests' between-case
-  // reset keeps working.
-  obs::CounterAdd(obs::Counter::kBfsLevels, 1);
-  obs::ResetCounters();
-  EXPECT_EQ(obs::CounterValue(obs::Counter::kBfsLevels), 0);
 }
 
 }  // namespace

@@ -481,6 +481,24 @@ TEST_F(ServiceE2eTest, PingAndStats) {
   ::close(fd);
 }
 
+TEST_F(ServiceE2eTest, ThreadsFlagReachesWorkerThreads) {
+  // --threads is applied on the daemon's main thread; the workers that run
+  // the requests must see it too, as the response report's environment
+  // (captured on the worker) shows.
+  StartDaemon("--threads=1 --workers=2");
+  const int fd = Connect();
+  ASSERT_GE(fd, 0);
+  for (int i = 0; i < 2; ++i) {
+    const JsonValue response = Rpc(
+        fd, "{\"op\":\"layout\",\"graph\":\"" + graph_ + "\",\"s\":6}");
+    ASSERT_EQ(response.At("status").string, "ok");
+    EXPECT_EQ(
+        response.At("report").At("environment").At("omp_max_threads").number,
+        1.0);
+  }
+  ::close(fd);
+}
+
 TEST_F(ServiceE2eTest, SustainsConcurrentClients) {
   // The acceptance bar: 64 concurrent requests against a cached graph,
   // zero failures. Queue 64 holds a full burst even with slow workers.

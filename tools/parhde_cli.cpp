@@ -2,12 +2,12 @@
 //
 // Subcommands:
 //   generate  --family=<urand|kron|grid|grid3d|road|plate|chain|ring>
-//             [--n/--scale/--rows/--cols/--ef/--seed] --out=<file.mtx>
+//             [--n/--scale/--rows/--cols/--ef/--seed]
+//             --out=<file.mtx|file.bin>  (.bin writes the binary CSR)
 //   stats     --in=<file.mtx|file.el>   (sizes, degrees, diameter, gaps)
 //   layout    --in=<...> [--algo=parhde|phde|pivotmds|prior|multilevel]
 //             [--s=10] [--axes=2] [--pivots=kcenters|random]
-//             [--dortho=mgs|cgs|blocked] [--gs-block=8]  (orthogonalizer;
-//             --gs=mgs|cgs remains as the historical spelling)
+//             [--dortho=mgs|cgs|blocked] [--gs-block=8]  (orthogonalizer)
 //             [--spmm-block=0|1|4|8|16]  (TripleProd SpMM column block;
 //             0 auto-tunes, 1 forces the per-column reference kernel)
 //             [--metric=degree|unit] [--basis=b|s] [--coupled] [--seed=1]
@@ -192,7 +192,11 @@ int CmdGenerate(const ArgParser& args) {
   }
 
   const CsrGraph graph = BuildCsrGraph(n, edges);
-  WriteMatrixMarketFile(graph, out);
+  if (HasSuffix(out, ".bin")) {
+    WriteBinaryFile(graph, out);
+  } else {
+    WriteMatrixMarketFile(graph, out);
+  }
   std::printf("wrote %s: n=%d m=%lld\n", out.c_str(), graph.NumVertices(),
               static_cast<long long>(graph.NumEdges()));
 
@@ -254,12 +258,8 @@ HdeOptions OptionsFromFlags(const ArgParser& args) {
   if (args.GetString("pivots", "kcenters") == "random") {
     options.pivots = PivotStrategy::Random;
   }
-  // --dortho is the full orthogonalizer selector; --gs remains as the
-  // historical spelling for the first two kinds.
-  const std::string gs_default =
-      args.GetChoice("gs", {"mgs", "cgs"}, "mgs");
   const std::string dortho =
-      args.GetChoice("dortho", {"mgs", "cgs", "blocked"}, gs_default);
+      args.GetChoice("dortho", {"mgs", "cgs", "blocked"}, "mgs");
   if (dortho == "cgs") {
     options.gs_kind = GramSchmidtKind::Classical;
   } else if (dortho == "blocked") {
@@ -287,14 +287,13 @@ HdeOptions OptionsFromFlags(const ArgParser& args) {
   // --kernel selects the distance traversal; `parbfs` keeps the automatic
   // upgrade to the batched multi-source engine for random pivots with
   // s >= kMsBfsAutoThreshold, while `msbfs`/`serialbfs` force one engine.
-  // --sssp is the historical spelling of --kernel=sssp.
   const std::string kernel = args.GetChoice(
       "kernel", {"parbfs", "serialbfs", "msbfs", "sssp"}, "parbfs");
   if (kernel == "serialbfs") {
     options.kernel = DistanceKernel::SerialBfs;
   } else if (kernel == "msbfs") {
     options.kernel = DistanceKernel::MultiSourceBfs;
-  } else if (kernel == "sssp" || args.Has("sssp")) {
+  } else if (kernel == "sssp") {
     options.kernel = DistanceKernel::DeltaStepping;
   }
   // --delta overrides the Δ heuristic (average edge weight); --sssp-engine
@@ -435,7 +434,6 @@ int CmdLayout(const ArgParser& args) {
       {"s", std::to_string(options.subspace_dim)},
       {"axes", std::to_string(options.num_axes)},
       {"pivots", args.GetString("pivots", "kcenters")},
-      {"gs", args.GetString("gs", "mgs")},
       {"dortho", options.gs_kind == GramSchmidtKind::Blocked    ? "blocked"
                  : options.gs_kind == GramSchmidtKind::Classical ? "cgs"
                                                                  : "mgs"},
