@@ -1,16 +1,37 @@
 #include "draw/coords_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace parhde {
 
 void WriteCoordinates(const Layout& layout, std::ostream& out) {
-  out.precision(17);
+  // std::to_chars with general format and precision 17 prints what "%.17g"
+  // (and a precision(17) stream) prints, in the "C" locale whatever the
+  // stream's. Lines are formatted into a buffer flushed every ~64 KiB.
+  constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+  constexpr std::size_t kMaxLineBytes = 64;  // two "%.17g" values + 2 chars
+  std::vector<char> buf(kFlushBytes + kMaxLineBytes);
+  std::size_t used = 0;
+  const auto put = [&](double value, char sep) {
+    char* const end = buf.data() + buf.size();
+    const auto res = std::to_chars(buf.data() + used, end, value,
+                                   std::chars_format::general, 17);
+    *res.ptr = sep;
+    used = static_cast<std::size_t>(res.ptr + 1 - buf.data());
+  };
   for (std::size_t v = 0; v < layout.x.size(); ++v) {
-    out << layout.x[v] << ' ' << layout.y[v] << '\n';
+    put(layout.x[v], ' ');
+    put(layout.y[v], '\n');
+    if (used >= kFlushBytes) {
+      out.write(buf.data(), static_cast<std::streamsize>(used));
+      used = 0;
+    }
   }
+  out.write(buf.data(), static_cast<std::streamsize>(used));
 }
 
 void WriteCoordinatesFile(const Layout& layout, const std::string& path) {

@@ -13,7 +13,9 @@ struct BuildOptions {
   bool keep_weights = false;
 
   /// How to merge the weights of parallel edges (ignored when unweighted).
-  enum class MergePolicy { Sum, Min, Max, First } merge = MergePolicy::Sum;
+  /// Duplicates merge in ascending weight order, so a Sum is the same at
+  /// any thread count.
+  enum class MergePolicy { Sum, Min, Max } merge = MergePolicy::Sum;
 };
 
 /// Builds a clean undirected CSR graph from an arbitrary edge list.

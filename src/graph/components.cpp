@@ -1,11 +1,10 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <unordered_map>
 
-#include "graph/builder.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
@@ -57,77 +56,6 @@ std::vector<vid_t> ConnectedComponents(const CsrGraph& graph) {
   return labels;
 }
 
-std::vector<vid_t> ParallelConnectedComponents(const CsrGraph& graph) {
-  const vid_t n = graph.NumVertices();
-  std::vector<std::atomic<vid_t>> parent(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    parent[static_cast<std::size_t>(v)].store(v, std::memory_order_relaxed);
-  }
-
-  auto atomic_min = [&](vid_t slot, vid_t candidate) {
-    vid_t current = parent[static_cast<std::size_t>(slot)].load(
-        std::memory_order_relaxed);
-    bool changed = false;
-    while (candidate < current) {
-      if (parent[static_cast<std::size_t>(slot)].compare_exchange_weak(
-              current, candidate, std::memory_order_relaxed)) {
-        changed = true;
-        break;
-      }
-    }
-    return changed;
-  };
-
-  bool hooked = true;
-  while (hooked) {
-    hooked = false;
-
-    // Hook phase: along every edge, pull the larger current label down to
-    // the smaller one. Labels only decrease, so this is a monotone fixpoint.
-    bool any = false;
-#pragma omp parallel for schedule(dynamic, 1024) reduction(|| : any)
-    for (vid_t v = 0; v < n; ++v) {
-      const vid_t pv =
-          parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-      for (const vid_t u : graph.Neighbors(v)) {
-        const vid_t pu = parent[static_cast<std::size_t>(u)].load(
-            std::memory_order_relaxed);
-        if (pu < pv) {
-          any = atomic_min(v, pu) || any;
-        } else if (pv < pu) {
-          any = atomic_min(u, pv) || any;
-        }
-      }
-    }
-    hooked = any;
-
-    // Pointer jumping: compress label chains so the next hook phase works
-    // on near-roots. Each vertex only reads other slots and monotonically
-    // lowers its own, so relaxed atomics suffice.
-#pragma omp parallel for schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      vid_t label =
-          parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-      while (true) {
-        const vid_t grand = parent[static_cast<std::size_t>(label)].load(
-            std::memory_order_relaxed);
-        if (grand == label) break;
-        label = grand;
-      }
-      atomic_min(v, label);
-    }
-  }
-
-  std::vector<vid_t> labels(static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    labels[static_cast<std::size_t>(v)] =
-        parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-  }
-  return labels;
-}
-
 vid_t CountComponents(const std::vector<vid_t>& labels) {
   vid_t count = 0;
   for (std::size_t v = 0; v < labels.size(); ++v) {
@@ -151,24 +79,46 @@ ComponentExtraction ExtractComponent(const CsrGraph& graph,
     }
   }
 
-  EdgeList edges;
-  const bool weighted = graph.HasWeights();
-  for (const vid_t v : result.new_to_old) {
-    const vid_t nv = result.old_to_new[static_cast<std::size_t>(v)];
-    const auto nbrs = graph.Neighbors(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const vid_t u = nbrs[i];
-      if (u <= v) continue;
-      const vid_t nu = result.old_to_new[static_cast<std::size_t>(u)];
-      if (nu == kInvalidVid) continue;  // cross-label edge: caller's labels
-                                        // need not be component-closed
-      edges.push_back({nv, nu, weighted ? graph.NeighborWeights(v)[i] : 1.0});
+  // The input CSR is sorted, deduplicated and loop-free, and the renumbering
+  // is monotone, so filtering each kept vertex's list in place yields the
+  // CSR of the induced subgraph directly: count the kept neighbors, then
+  // prefix-sum and fill. Cross-label neighbors are dropped (the caller's
+  // labels need not be component-closed).
+  const auto& old_to_new = result.old_to_new;
+  const auto& new_to_old = result.new_to_old;
+  std::vector<eid_t> counts(static_cast<std::size_t>(next));
+  ParallelFor(next, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t nv = lo; nv < hi; ++nv) {
+      eid_t kept = 0;
+      for (const vid_t u :
+           graph.Neighbors(new_to_old[static_cast<std::size_t>(nv)])) {
+        kept += old_to_new[static_cast<std::size_t>(u)] != kInvalidVid;
+      }
+      counts[static_cast<std::size_t>(nv)] = kept;
     }
-  }
+  });
+  std::vector<eid_t> offsets;
+  ExclusivePrefixSum(counts, offsets);
 
-  BuildOptions opts;
-  opts.keep_weights = weighted;
-  result.graph = BuildCsrGraph(next, edges, opts);
+  const bool weighted = graph.HasWeights();
+  const auto arcs = static_cast<std::size_t>(offsets.back());
+  std::vector<vid_t> adj(arcs);
+  std::vector<weight_t> wts(weighted ? arcs : 0);
+  ParallelFor(next, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t nv = lo; nv < hi; ++nv) {
+      const vid_t v = new_to_old[static_cast<std::size_t>(nv)];
+      const auto nbrs = graph.Neighbors(v);
+      auto out = static_cast<std::size_t>(offsets[static_cast<std::size_t>(nv)]);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const vid_t nu = old_to_new[static_cast<std::size_t>(nbrs[i])];
+        if (nu == kInvalidVid) continue;
+        adj[out] = nu;
+        if (weighted) wts[out] = graph.NeighborWeights(v)[i];
+        ++out;
+      }
+    }
+  });
+  result.graph = CsrGraph(std::move(offsets), std::move(adj), std::move(wts));
   return result;
 }
 

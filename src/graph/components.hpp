@@ -11,13 +11,6 @@ namespace parhde {
 /// component, so they are canonical and deterministic.
 std::vector<vid_t> ConnectedComponents(const CsrGraph& graph);
 
-/// Parallel connected components (Shiloach-Vishkin style: min-label hooking
-/// alternated with pointer jumping). Produces exactly the same canonical
-/// labels as ConnectedComponents — the smallest vertex id per component —
-/// in O(log n) rounds over the edge set, so the preprocessing of billion-
-/// edge inputs (§4.1) parallelizes like the rest of the pipeline.
-std::vector<vid_t> ParallelConnectedComponents(const CsrGraph& graph);
-
 /// Number of distinct components given labels from ConnectedComponents.
 vid_t CountComponents(const std::vector<vid_t>& labels);
 
@@ -29,9 +22,11 @@ struct ComponentExtraction {
 };
 
 /// Extracts the induced subgraph of the vertices carrying `label` (as
-/// produced by ConnectedComponents / ParallelConnectedComponents). New ids
-/// are assigned in increasing old-id order, preserving relative vertex
-/// order. A label with no members yields an empty graph.
+/// produced by ConnectedComponents; any labeling works, edges to other
+/// labels are dropped). New ids are assigned in increasing old-id order,
+/// preserving relative vertex order. A label with no members yields an
+/// empty graph. The result equals BuildCsrGraph of the filtered, renumbered
+/// edge list, but is filtered out of `graph`'s CSR without a rebuild.
 ComponentExtraction ExtractComponent(const CsrGraph& graph,
                                      const std::vector<vid_t>& labels,
                                      vid_t label);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/parallel.hpp"
+
 namespace parhde {
 
 CsrGraph::CsrGraph(std::vector<eid_t> offsets, std::vector<vid_t> adj,
@@ -11,16 +13,17 @@ CsrGraph::CsrGraph(std::vector<eid_t> offsets, std::vector<vid_t> adj,
       weights_(std::move(weights)) {
   const vid_t n = NumVertices();
   weighted_degree_.assign(static_cast<std::size_t>(n), 0.0);
-#pragma omp parallel for schedule(static)
-  for (vid_t v = 0; v < n; ++v) {
-    weight_t d = 0.0;
-    if (weights_.empty()) {
-      d = static_cast<weight_t>(Degree(v));
-    } else {
-      for (const weight_t w : NeighborWeights(v)) d += w;
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+      weight_t d = 0.0;
+      if (weights_.empty()) {
+        d = static_cast<weight_t>(Degree(v));
+      } else {
+        for (const weight_t w : NeighborWeights(v)) d += w;
+      }
+      weighted_degree_[static_cast<std::size_t>(v)] = d;
     }
-    weighted_degree_[static_cast<std::size_t>(v)] = d;
-  }
+  });
 }
 
 bool CsrGraph::HasEdge(vid_t u, vid_t v) const {
@@ -29,11 +32,16 @@ bool CsrGraph::HasEdge(vid_t u, vid_t v) const {
 }
 
 vid_t CsrGraph::MaxDegree() const {
-  const vid_t n = NumVertices();
-  vid_t best = 0;
-#pragma omp parallel for reduction(max : best) schedule(static)
-  for (vid_t v = 0; v < n; ++v) best = std::max(best, Degree(v));
-  return best;
+  return ParallelReduce(
+      NumVertices(), kStreamGrain, vid_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        vid_t best = 0;
+        for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+          best = std::max(best, Degree(v));
+        }
+        return best;
+      },
+      [](vid_t a, vid_t b) { return std::max(a, b); });
 }
 
 bool CsrGraph::Validate() const {

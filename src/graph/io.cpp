@@ -11,8 +11,10 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "resilience/fault_injection.hpp"
+#include "util/parallel.hpp"
 #include "util/status.hpp"
 
 namespace parhde {
@@ -103,6 +105,77 @@ std::vector<T> ReadVector(std::istream& in) {
   return v;
 }
 
+// ---- Text ingest -------------------------------------------------------
+//
+// The MatrixMarket body and the edge list share one scanner. It reads the
+// stream in windows of up to kChunksPerWindow x kChunkBytes and cuts each
+// window at newlines into chunks of whole lines. The chunks are processed
+// in parallel twice: first each counts its entry lines, which places its
+// entries in the output (a prefix sum in chunk order); then each tokenizes
+// its lines straight into that place. Chunks are then checked in file
+// order, so the resulting EdgeList, the first error reported and its line
+// number are the same at any thread count. Only one window of text is held
+// at a time; a line longer than a window grows the window to fit it.
+
+constexpr std::size_t kChunkBytes = std::size_t{256} << 10;
+constexpr std::size_t kChunksPerWindow = 16;
+
+/// One chunk of whole lines and what parsing it found. A chunk stops at its
+/// first bad line; `entries` and `lines` then count what came before it.
+struct TextChunk {
+  std::string_view text;
+  std::size_t first = 0;    // output index of the chunk's first entry
+  std::size_t entries = 0;  // entry lines (counted), then entries parsed
+  long long lines = 0;
+  bool weighted = false;  // edge list: some line carried a weight column
+  vid_t max_id = -1;      // edge list: largest endpoint seen
+  bool failed = false;
+  ErrorCode error_code = ErrorCode::kOk;
+  std::string error;
+
+  /// Records the first bad line; returns false so a line parser can
+  /// `return chunk.Fail(...)`.
+  bool Fail(ErrorCode code, std::string what) {
+    failed = true;
+    error_code = code;
+    error = std::move(what);
+    return false;
+  }
+};
+
+/// The whitespace operator>> skips inside a line.
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+void SkipBlanks(const char*& p, const char* end) {
+  while (p != end && IsBlank(*p)) ++p;
+}
+
+/// Reads a decimal integer the way `in >> long long` does: leading blanks
+/// skipped, an optional sign, digits up to the first other character. Fails
+/// on a missing number or on overflow.
+bool ReadInteger(const char*& p, const char* end, long long& value) {
+  SkipBlanks(p, end);
+  if (p != end && *p == '+') {
+    ++p;
+    if (p == end || *p < '0' || *p > '9') return false;
+  }
+  const auto [ptr, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc{}) return false;
+  p = ptr;
+  return true;
+}
+
+/// Reads the next blank-delimited token, as `in >> std::string` does; empty
+/// when the line has no more tokens.
+std::string_view ReadToken(const char*& p, const char* end) {
+  SkipBlanks(p, end);
+  const char* begin = p;
+  while (p != end && !IsBlank(*p)) ++p;
+  return {begin, static_cast<std::size_t>(p - begin)};
+}
+
 /// Parses a weight token with std::from_chars, which (unlike istream's
 /// num_get) recognizes "nan" and "inf" spellings — those must reach
 /// CheckEdgeWeight to be rejected as invalid VALUES, not mis-reported as
@@ -110,29 +183,134 @@ std::vector<T> ReadVector(std::istream& in) {
 /// comma-decimal locale cannot truncate "1.5" to 1. from_chars never
 /// accepts a leading '+', which strtod did; skip it manually to keep the
 /// accepted grammar unchanged.
-double ParseWeightToken(const std::string& token, long long line) {
+bool ParseWeightToken(std::string_view token, double& w, TextChunk& chunk) {
   const char* begin = token.data();
   const char* end = token.data() + token.size();
   if (begin != end && *begin == '+') ++begin;
-  double w = 0.0;
   const auto [ptr, ec] = std::from_chars(begin, end, w);
   if (ec != std::errc{} || ptr != end || begin == end) {
-    FailAt(ErrorCode::kParse, line, "bad numeric value '" + token + "'");
+    return chunk.Fail(ErrorCode::kParse,
+                      "bad numeric value '" + std::string(token) + "'");
   }
-  return w;
+  return true;
 }
 
 /// Rejects the weight values that poison downstream phases: NaN/Inf break
 /// every distance and projection, and a negative weight can make the
 /// Δ-stepping SSSP kernel non-terminating.
-void CheckEdgeWeight(double w, long long line) {
+bool CheckEdgeWeight(double w, TextChunk& chunk) {
   if (std::isnan(w) || std::isinf(w)) {
-    FailAt(ErrorCode::kInvalidValue, line, "non-finite edge weight");
+    return chunk.Fail(ErrorCode::kInvalidValue, "non-finite edge weight");
   }
   if (w < 0.0) {
-    FailAt(ErrorCode::kInvalidValue, line,
-           "negative edge weight " + std::to_string(w) +
-               " (negative weights break shortest-path kernels)");
+    return chunk.Fail(ErrorCode::kInvalidValue,
+                      "negative edge weight " + std::to_string(w) +
+                          " (negative weights break shortest-path kernels)");
+  }
+  return true;
+}
+
+/// Calls fn(line) for every line of `text` (without its '\n') until fn
+/// returns false.
+template <class Fn>
+void ForEachLine(std::string_view text, Fn&& fn) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* eol = nl != nullptr ? nl : end;
+    if (!fn(std::string_view(p, static_cast<std::size_t>(eol - p)))) return;
+    p = nl != nullptr ? nl + 1 : end;
+  }
+}
+
+/// Scans the rest of `in` as described above, appending to `edges`;
+/// `lineno` lines of the stream were consumed before. is_entry(line) tells
+/// entry lines from skipped ones; parse_line(line, edge, chunk) parses an
+/// entry line or records why not. Both run on the team. take(chunk) runs on
+/// the calling thread once per chunk, in file order, and returns false to
+/// stop reading; otherwise a failed chunk throws its error with the global
+/// line number.
+template <class IsEntry, class ParseLine, class Take>
+void ScanTextBody(std::istream& in, long long lineno, EdgeList& edges,
+                  const IsEntry& is_entry, const ParseLine& parse_line,
+                  Take&& take) {
+  // A small input gets a window of its own size, not the full window.
+  const auto remaining = RemainingBytes(in);
+  std::size_t window = kChunkBytes * kChunksPerWindow;
+  if (remaining) window = std::min<std::uint64_t>(window, *remaining + 1);
+  std::vector<char> buf(window);
+  std::vector<TextChunk> chunks;
+  std::size_t carry = 0;  // bytes of an unfinished line from the last window
+  bool eof = false;
+  while (!eof) {
+    if (carry == buf.size()) buf.resize(2 * buf.size());
+    in.read(buf.data() + carry, static_cast<std::streamsize>(buf.size() - carry));
+    const std::size_t len = carry + static_cast<std::size_t>(in.gcount());
+    eof = len < buf.size();
+    std::size_t text_end = len;  // the window's text ends after a newline
+    if (!eof) {
+      while (text_end > 0 && buf[text_end - 1] != '\n') --text_end;
+      if (text_end == 0) {
+        carry = len;
+        continue;
+      }
+    }
+
+    chunks.clear();
+    for (std::size_t lo = 0; lo < text_end;) {
+      std::size_t hi = std::min(text_end, lo + kChunkBytes);
+      if (hi < text_end) {
+        const auto* nl = static_cast<const char*>(
+            std::memchr(buf.data() + hi - 1, '\n', text_end - hi + 1));
+        hi = nl != nullptr ? static_cast<std::size_t>(nl - buf.data()) + 1
+                           : text_end;
+      }
+      chunks.emplace_back().text = std::string_view(buf.data() + lo, hi - lo);
+      lo = hi;
+    }
+    const auto nchunks = static_cast<std::int64_t>(chunks.size());
+    ParallelFor(nchunks, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t c = lo; c < hi; ++c) {
+        TextChunk& chunk = chunks[static_cast<std::size_t>(c)];
+        ForEachLine(chunk.text, [&](std::string_view line) {
+          chunk.entries += is_entry(line);
+          return true;
+        });
+      }
+    });
+    std::size_t next = edges.size();
+    for (TextChunk& chunk : chunks) {
+      chunk.first = next;
+      next += chunk.entries;
+    }
+    edges.resize(next);
+    ParallelFor(nchunks, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t c = lo; c < hi; ++c) {
+        TextChunk& chunk = chunks[static_cast<std::size_t>(c)];
+        Edge* const out = edges.data() + chunk.first;
+        chunk.entries = 0;
+        ForEachLine(chunk.text, [&](std::string_view line) {
+          if (is_entry(line)) {
+            if (!parse_line(line, out[chunk.entries], chunk)) return false;
+            ++chunk.entries;
+          }
+          ++chunk.lines;
+          return true;
+        });
+      }
+    });
+    for (const TextChunk& chunk : chunks) {
+      if (!take(chunk)) return;
+      if (chunk.failed) {
+        FailAt(chunk.error_code, lineno + chunk.lines + 1, chunk.error);
+      }
+      lineno += chunk.lines;
+    }
+
+    carry = len - text_end;
+    std::memmove(buf.data(), buf.data() + text_end, carry);
   }
 }
 
@@ -236,36 +414,57 @@ MatrixMarketData ReadMatrixMarket(std::istream& in) {
                std::to_string(cols) + ", nnz " + std::to_string(nnz));
   }
   data.n = static_cast<vid_t>(std::max(rows, cols));
-  data.edges.reserve(static_cast<std::size_t>(nnz));
+  // nnz is untrusted: reserve no more entries than the rest of the stream
+  // can hold. The shortest entry line, "1 1\n", takes 4 bytes.
+  const auto remaining = RemainingBytes(in);
+  const std::uint64_t fit =
+      remaining ? (*remaining + 1) / 4 : std::uint64_t{1} << 16;
+  data.edges.reserve(static_cast<std::size_t>(
+      std::min(static_cast<std::uint64_t>(nnz), fit)));
 
-  long long read = 0;
-  while (read < nnz && std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '%') continue;
-    std::istringstream entry(line);
+  const bool pattern = data.pattern;
+  const auto is_entry = [](std::string_view line) {
+    return !line.empty() && line[0] != '%';
+  };
+  const auto parse_line = [&](std::string_view line, Edge& edge,
+                              TextChunk& chunk) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
     long long r = 0, c = 0;
     double w = 1.0;
-    if (!(entry >> r >> c)) FailAt(ErrorCode::kParse, lineno, "bad entry line");
-    if (!data.pattern) {
-      std::string token;
-      if (!(entry >> token)) {
-        FailAt(ErrorCode::kParse, lineno, "missing value in non-pattern file");
+    if (!ReadInteger(p, end, r) || !ReadInteger(p, end, c)) {
+      return chunk.Fail(ErrorCode::kParse, "bad entry line");
+    }
+    if (!pattern) {
+      const std::string_view token = ReadToken(p, end);
+      if (token.empty()) {
+        return chunk.Fail(ErrorCode::kParse,
+                          "missing value in non-pattern file");
       }
-      w = ParseWeightToken(token, lineno);
+      if (!ParseWeightToken(token, w, chunk)) return false;
     }
     if (r < 1 || r > rows || c < 1 || c > cols) {
-      FailAt(ErrorCode::kInvalidValue, lineno,
-             "entry (" + std::to_string(r) + ", " + std::to_string(c) +
-                 ") outside the declared " + std::to_string(rows) + " x " +
-                 std::to_string(cols) + " matrix");
+      return chunk.Fail(ErrorCode::kInvalidValue,
+                        "entry (" + std::to_string(r) + ", " +
+                            std::to_string(c) + ") outside the declared " +
+                            std::to_string(rows) + " x " +
+                            std::to_string(cols) + " matrix");
     }
-    if (!data.pattern) CheckEdgeWeight(w, lineno);
-    data.edges.push_back(
-        {static_cast<vid_t>(r - 1), static_cast<vid_t>(c - 1), w});
-    ++read;
-  }
-  if (read != nnz) {
-    Fail(ErrorCode::kParse, "fewer entries (" + std::to_string(read) +
+    if (!pattern && !CheckEdgeWeight(w, chunk)) return false;
+    edge = {static_cast<vid_t>(r - 1), static_cast<vid_t>(c - 1), w};
+    return true;
+  };
+  // Lines after the nnz-th entry are ignored, bad or not.
+  const auto declared = static_cast<std::size_t>(nnz);
+  ScanTextBody(in, lineno, data.edges, is_entry, parse_line,
+               [&](const TextChunk& chunk) {
+                 if (chunk.first + chunk.entries < declared) return true;
+                 data.edges.resize(declared);
+                 return false;
+               });
+  if (data.edges.size() != declared) {
+    Fail(ErrorCode::kParse, "fewer entries (" +
+                                std::to_string(data.edges.size()) +
                                 ") than the declared " + std::to_string(nnz));
   }
   return data;
@@ -335,38 +534,49 @@ void WriteMatrixMarketFile(const CsrGraph& graph, const std::string& path) {
 }
 
 MatrixMarketData ReadEdgeList(std::istream& in) {
-  MatrixMarketData data;
-  data.pattern = true;
-  data.symmetric = true;
-  std::string line;
-  long long lineno = 0;
-  vid_t max_id = -1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream entry(line);
+  const auto is_entry = [](std::string_view line) {
+    return !line.empty() && line[0] != '#' && line[0] != '%';
+  };
+  const auto parse_line = [](std::string_view line, Edge& edge,
+                             TextChunk& chunk) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
     long long u = 0, v = 0;
     double w = 1.0;
-    if (!(entry >> u >> v)) {
-      FailAt(ErrorCode::kParse, lineno, "bad edge line: " + line);
+    if (!ReadInteger(p, end, u) || !ReadInteger(p, end, v)) {
+      return chunk.Fail(ErrorCode::kParse,
+                        "bad edge line: " + std::string(line));
     }
-    std::string token;
-    if (entry >> token) {
-      data.pattern = false;
-      w = ParseWeightToken(token, lineno);
-      CheckEdgeWeight(w, lineno);
+    const std::string_view token = ReadToken(p, end);
+    if (!token.empty()) {
+      chunk.weighted = true;
+      if (!ParseWeightToken(token, w, chunk) || !CheckEdgeWeight(w, chunk)) {
+        return false;
+      }
     }
     if (u < 0 || v < 0) {
-      FailAt(ErrorCode::kInvalidValue, lineno, "negative vertex id");
+      return chunk.Fail(ErrorCode::kInvalidValue, "negative vertex id");
     }
     constexpr long long kMaxVid = std::numeric_limits<vid_t>::max() - 1;
     if (u > kMaxVid || v > kMaxVid) {
-      FailAt(ErrorCode::kInvalidValue, lineno,
-             "vertex id exceeds the 32-bit id space");
+      return chunk.Fail(ErrorCode::kInvalidValue,
+                        "vertex id exceeds the 32-bit id space");
     }
-    data.edges.push_back({static_cast<vid_t>(u), static_cast<vid_t>(v), w});
-    max_id = std::max<vid_t>(max_id, static_cast<vid_t>(std::max(u, v)));
-  }
+    edge = {static_cast<vid_t>(u), static_cast<vid_t>(v), w};
+    chunk.max_id =
+        std::max<vid_t>(chunk.max_id, static_cast<vid_t>(std::max(u, v)));
+    return true;
+  };
+  MatrixMarketData data;
+  data.pattern = true;
+  data.symmetric = true;
+  vid_t max_id = -1;
+  ScanTextBody(in, 0, data.edges, is_entry, parse_line,
+               [&](const TextChunk& chunk) {
+                 if (chunk.weighted) data.pattern = false;
+                 max_id = std::max(max_id, chunk.max_id);
+                 return true;
+               });
   data.n = max_id + 1;
   return data;
 }

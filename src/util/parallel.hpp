@@ -14,6 +14,8 @@
 //     one contiguous run of blocks: the same thread gets the same slice on
 //     every call of the same shape, so repeated sweeps hit its cache and a
 //     parallel first touch places pages where they are later streamed.
+//     ParallelForDynamic is the exception: it hands blocks out on demand,
+//     for loops whose block costs cannot be predicted from n and grain.
 //   * Each team thread installs the caller's util::RunContext and runs an
 //     obs::ScopedRegionTimer, so counters, deadline polls and per-thread
 //     phase stats land in the caller's run. Call sites name no context,
@@ -44,8 +46,8 @@ inline constexpr std::int64_t kStreamGrain = 4096;
 namespace detail {
 
 /// Runs fn(block, lo, hi) for every grain-sized block of [0, n) under the
-/// rules in the file comment.
-template <class Fn>
+/// rules in the file comment; kDynamic hands blocks out on demand instead.
+template <bool kDynamic = false, class Fn>
 void ForEachBlock(std::int64_t n, std::int64_t grain, Fn&& fn) {
   if (n <= 0) return;
   grain = std::max<std::int64_t>(grain, 1);
@@ -70,8 +72,13 @@ void ForEachBlock(std::int64_t n, std::int64_t grain, Fn&& fn) {
   {
     util::ScopedRunContext run_scope(*run_ctx);
     obs::ScopedRegionTimer obs_timer;
+    if constexpr (kDynamic) {
+#pragma omp for schedule(dynamic, 1) nowait
+      for (std::int64_t b = 0; b < blocks; ++b) run(b);
+    } else {
 #pragma omp for schedule(static) nowait
-    for (std::int64_t b = 0; b < blocks; ++b) run(b);
+      for (std::int64_t b = 0; b < blocks; ++b) run(b);
+    }
   }
 }
 
@@ -83,6 +90,16 @@ template <class Body>
 void ParallelFor(std::int64_t n, std::int64_t grain, Body&& body) {
   detail::ForEachBlock(n, grain, [&](std::int64_t, std::int64_t lo,
                                      std::int64_t hi) { body(lo, hi); });
+}
+
+/// ParallelFor with the blocks handed to threads one at a time as they
+/// finish, for loops whose block costs vary in ways the static split cannot
+/// see (sorting adjacency lists left in scatter order). Same blocks and
+/// serial rules; the body must not care which thread runs a block.
+template <class Body>
+void ParallelForDynamic(std::int64_t n, std::int64_t grain, Body&& body) {
+  detail::ForEachBlock<true>(n, grain, [&](std::int64_t, std::int64_t lo,
+                                           std::int64_t hi) { body(lo, hi); });
 }
 
 /// Folds combine(acc, map(lo, hi)) over the grain-sized blocks of [0, n) in

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "graph/generators.hpp"
 #include "util/parallel.hpp"
 
@@ -104,6 +108,37 @@ TEST(Builder, WeightedDeterministicAcrossThreads) {
   ASSERT_EQ(g4.Weights().size(), g1.Weights().size());
   for (std::size_t i = 0; i < g4.Weights().size(); ++i) {
     EXPECT_DOUBLE_EQ(g4.Weights()[i], g1.Weights()[i]);
+  }
+}
+
+TEST(BuilderThreadDeterminism, WeightedSumBitwiseIdenticalAt124Threads) {
+  // About 7000 distinct pairs, each about 57 times in either orientation;
+  // the merged sums must not depend on the order the scatter placed the
+  // copies in.
+  EdgeList edges = GenUniformRandom(2000, 400000, 31);
+  AssignRandomWeights(edges, 0.001, 1000.0, 32);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    edges[i].v = edges[i].u ^ static_cast<vid_t>(1 + (i % 7));
+    if (edges[i].v >= 2000) edges[i].v = edges[i].u;
+    if (i % 2 == 1) std::swap(edges[i].u, edges[i].v);
+  }
+  BuildOptions opts;
+  opts.keep_weights = true;
+  const auto build_at = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    return BuildCsrGraph(2000, edges, opts);
+  };
+  const CsrGraph one = build_at(1);
+  for (const int threads : {2, 4}) {
+    const CsrGraph g = build_at(threads);
+    EXPECT_EQ(g.Adjacency(), one.Adjacency()) << threads;
+    ASSERT_EQ(g.Weights().size(), one.Weights().size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < g.Weights().size(); ++i) {
+      differing += std::bit_cast<std::uint64_t>(g.Weights()[i]) !=
+                   std::bit_cast<std::uint64_t>(one.Weights()[i]);
+    }
+    EXPECT_EQ(differing, 0u) << threads << " threads";
   }
 }
 

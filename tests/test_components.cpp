@@ -4,6 +4,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
@@ -85,30 +86,82 @@ TEST(IsConnected, EmptyAndSingleton) {
   EXPECT_FALSE(IsConnected(BuildCsrGraph(2, {})));
 }
 
-TEST(ParallelComponents, MatchesSerialOnRandomGraph) {
-  const CsrGraph g = BuildCsrGraph(3000, GenUniformRandom(3000, 4000, 11));
-  EXPECT_EQ(ParallelConnectedComponents(g), ConnectedComponents(g));
-}
+// ExtractComponent filters the CSR directly; it must produce exactly what
+// rebuilding the filtered, renumbered edge list produces.
 
-TEST(ParallelComponents, MatchesSerialOnKron) {
-  const CsrGraph g = BuildCsrGraph(1 << 12, GenKronecker(12, 4, 13));
-  EXPECT_EQ(ParallelConnectedComponents(g), ConnectedComponents(g));
-}
-
-TEST(ParallelComponents, HighDiameterChain) {
-  // Pointer jumping must conquer a 10k-long chain in O(log n) rounds,
-  // not O(n) label-propagation rounds — this test is fast iff it does.
-  const CsrGraph g = BuildCsrGraph(10000, GenChain(10000));
-  const auto labels = ParallelConnectedComponents(g);
-  for (const vid_t l : labels) EXPECT_EQ(l, 0);
-}
-
-TEST(ParallelComponents, IsolatedAndEmpty) {
-  EXPECT_TRUE(ParallelConnectedComponents(BuildCsrGraph(0, {})).empty());
-  const auto labels = ParallelConnectedComponents(BuildCsrGraph(5, {}));
-  for (std::size_t v = 0; v < 5; ++v) {
-    EXPECT_EQ(labels[v], static_cast<vid_t>(v));
+CsrGraph RebuiltComponent(const CsrGraph& g, const std::vector<vid_t>& labels,
+                          vid_t label) {
+  std::vector<vid_t> old_to_new(labels.size(), kInvalidVid);
+  vid_t next = 0;
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    if (labels[v] == label) old_to_new[v] = next++;
   }
+  EdgeList edges;
+  for (const Edge& e : g.ToEdgeList()) {
+    const vid_t u = old_to_new[static_cast<std::size_t>(e.u)];
+    const vid_t v = old_to_new[static_cast<std::size_t>(e.v)];
+    if (u != kInvalidVid && v != kInvalidVid) edges.push_back({u, v, e.w});
+  }
+  BuildOptions opts;
+  opts.keep_weights = g.HasWeights();
+  return BuildCsrGraph(next, edges, opts);
+}
+
+void ExpectExtractionMatchesRebuild(const CsrGraph& g,
+                                    const std::vector<vid_t>& labels,
+                                    vid_t label) {
+  const CsrGraph want = RebuiltComponent(g, labels, label);
+  for (const int threads : {1, 4}) {
+    ThreadCountGuard guard(threads);
+    const ComponentExtraction got = ExtractComponent(g, labels, label);
+    EXPECT_EQ(got.graph.Offsets(), want.Offsets()) << threads;
+    EXPECT_EQ(got.graph.Adjacency(), want.Adjacency()) << threads;
+    EXPECT_EQ(got.graph.Weights(), want.Weights()) << threads;
+    EXPECT_EQ(got.graph.WeightedDegrees(), want.WeightedDegrees()) << threads;
+    ASSERT_EQ(got.new_to_old.size(),
+              static_cast<std::size_t>(want.NumVertices()));
+    for (std::size_t nv = 0; nv < got.new_to_old.size(); ++nv) {
+      EXPECT_EQ(labels[static_cast<std::size_t>(got.new_to_old[nv])], label);
+      EXPECT_EQ(got.old_to_new[static_cast<std::size_t>(got.new_to_old[nv])],
+                static_cast<vid_t>(nv));
+    }
+  }
+}
+
+TEST(ExtractComponentDirect, MatchesRebuildOnKron) {
+  const CsrGraph g = BuildCsrGraph(1 << 14, GenKronecker(14, 8, 21));
+  const std::vector<vid_t> labels = ConnectedComponents(g);
+  const vid_t largest = LargestComponent(g).new_to_old.front();
+  ExpectExtractionMatchesRebuild(g, labels, labels[static_cast<std::size_t>(largest)]);
+}
+
+TEST(ExtractComponentDirect, MatchesRebuildOnWeightedGraph) {
+  EdgeList edges = GenUniformRandom(20000, 30000, 22);
+  AssignRandomWeights(edges, 0.5, 4.0, 23);
+  BuildOptions opts;
+  opts.keep_weights = true;
+  const CsrGraph g = BuildCsrGraph(20000, edges, opts);
+  const std::vector<vid_t> labels = ConnectedComponents(g);
+  const vid_t largest = LargestComponent(g).new_to_old.front();
+  ExpectExtractionMatchesRebuild(g, labels, labels[static_cast<std::size_t>(largest)]);
+}
+
+TEST(ExtractComponentDirect, MatchesRebuildWithLabelsThatAreNotComponentClosed) {
+  // Residues mod 3 cut most edges of a connected grid; cross-label arcs
+  // must be dropped from both endpoints.
+  EdgeList edges = GenGrid2d(120, 130);
+  AssignRandomWeights(edges, 1.0, 2.0, 24);
+  BuildOptions opts;
+  opts.keep_weights = true;
+  const CsrGraph g = BuildCsrGraph(120 * 130, edges, opts);
+  std::vector<vid_t> labels(static_cast<std::size_t>(g.NumVertices()));
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    labels[v] = static_cast<vid_t>((v * 7 + v / 5) % 3);
+  }
+  for (const vid_t label : {0, 1, 2}) {
+    ExpectExtractionMatchesRebuild(g, labels, label);
+  }
+  ExpectExtractionMatchesRebuild(g, labels, 5);  // no members: empty graph
 }
 
 class ComponentCountSweep

@@ -7,7 +7,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 
+#include "draw/coords_io.hpp"
 #include "draw/layout.hpp"
 #include "draw/png_writer.hpp"
 #include "draw/raster.hpp"
@@ -253,6 +256,69 @@ TEST_F(CorruptInputTest, EdgeListHugeVertexIdRejected) {
   const std::string path = WriteText("huge.el", "0 99999999999\n");
   EXPECT_EQ(CodeOf([&] { ReadEdgeListFile(path); }),
             ErrorCode::kInvalidValue);
+}
+
+TEST_F(CorruptInputTest, HugeDeclaredNnzIsParseError) {
+  // The size line is untrusted: a tiny file declaring 10^12 entries must be
+  // reported as short, not reserve 16 TB first.
+  const std::string path = WriteText(
+      "hugennz.mtx",
+      "%%MatrixMarket matrix coordinate pattern symmetric\n"
+      "4 4 1000000000000\n"
+      "2 1\n");
+  EXPECT_EQ(CodeOf([&] { ReadMatrixMarketFile(path); }), ErrorCode::kParse);
+}
+
+// ---- Coordinate writer: byte-identical to printf("%.17g %.17g\n"). ----
+
+TEST(CoordinateWriter, MatchesPrintfReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      0.0,
+      -0.0,
+      1.0,
+      -3.0,
+      123456789.0,
+      9007199254740993.0,
+      0.1,
+      -2.5e-7,
+      1e300,
+      -1e300,
+      1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      kInf,
+      -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  Layout layout;
+  std::string want;
+  char line[128];
+  // Every value against every other, and enough lines to cross the
+  // writer's internal flush boundary several times.
+  for (int rep = 0; rep < 400; ++rep) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double x = values[i];
+      const double y = values[(i + static_cast<std::size_t>(rep)) % values.size()];
+      layout.x.push_back(x);
+      layout.y.push_back(y);
+      std::snprintf(line, sizeof(line), "%.17g %.17g\n", x, y);
+      want += line;
+    }
+  }
+  std::ostringstream out;
+  WriteCoordinates(layout, out);
+  EXPECT_EQ(out.str(), want);
+}
+
+TEST(CoordinateWriter, EmptyLayoutWritesNothing) {
+  std::ostringstream out;
+  WriteCoordinates(Layout{}, out);
+  EXPECT_TRUE(out.str().empty());
 }
 
 }  // namespace

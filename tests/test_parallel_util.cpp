@@ -196,6 +196,27 @@ TEST(ParallelFor, TeamNeverOutnumbersBlocks) {
   EXPECT_EQ(team_for(4096, 64), 4);  // capped by the thread count
 }
 
+TEST(ParallelForDynamic, VisitsEveryIndexOnceAndStaysSerialBelowGrain) {
+  ThreadCountGuard guard(4);
+  constexpr std::int64_t kN = 10007, kGrain = 100;
+  std::vector<int> hits(kN, 0);
+  std::atomic<bool> misaligned{false};
+  ParallelForDynamic(kN, kGrain, [&](std::int64_t lo, std::int64_t hi) {
+    if (lo % kGrain != 0 || hi - lo > kGrain) misaligned = true;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      ++hits[static_cast<std::size_t>(i)];
+    }
+  });
+  EXPECT_FALSE(misaligned.load());
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), kN);
+
+  std::atomic<int> team{0};
+  ParallelForDynamic(64, 64, [&](std::int64_t, std::int64_t) {
+    team = omp_get_num_threads();
+  });
+  EXPECT_EQ(team.load(), 1);
+}
+
 TEST(ParallelFor, CounterAddLandsInCallersContext) {
   ThreadCountGuard guard(4);
   util::RunContext ctx;
