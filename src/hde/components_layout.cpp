@@ -6,8 +6,8 @@
 #include <unordered_map>
 
 #include "draw/layout.hpp"
+#include "obs/phase.hpp"
 #include "util/status.hpp"
-#include "util/timer.hpp"
 
 namespace parhde {
 namespace {
@@ -40,17 +40,18 @@ ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,
   const vid_t n = graph.NumVertices();
 
   ComponentsLayoutResult result;
-  const std::vector<vid_t> labels = ConnectedComponents(graph);
-  result.num_components = CountComponents(labels);
-
-  if (result.num_components <= 1) {
-    result.hde = run(graph, options);
-    result.hde.components.assign(
-        1, StatFor(graph, ComputeBoundingBox(result.hde.layout)));
-    return result;
+  // The Components phase: the label pass, the census, extraction and
+  // packing, never the sub-runs. Merged after the sub-runs' phases.
+  PhaseTimings components;
+  std::vector<vid_t> labels;
+  {
+    obs::Phase label_pass(components, phase::kComponents);
+    labels = ConnectedComponents(graph);
+    result.num_components = CountComponents(labels);
   }
+  const bool disconnected = result.num_components > 1;
 
-  if (copts.policy == DisconnectedPolicy::Reject) {
+  if (disconnected && copts.policy == DisconnectedPolicy::Reject) {
     throw ParhdeError(
         ErrorCode::kDisconnected, phase::kComponents,
         "graph has " + std::to_string(result.num_components) +
@@ -61,53 +62,72 @@ ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,
   // Component census: size per canonical label, processed largest-first
   // (ties toward the smaller label) so both the Largest policy and the
   // shelf packing below are deterministic.
-  std::unordered_map<vid_t, vid_t> size_of;
-  for (const vid_t l : labels) ++size_of[l];
   struct Comp {
     vid_t label;
     vid_t size;
   };
   std::vector<Comp> comps;
-  comps.reserve(size_of.size());
-  for (const auto& [label, size] : size_of) comps.push_back({label, size});
-  std::sort(comps.begin(), comps.end(), [](const Comp& a, const Comp& b) {
-    return a.size != b.size ? a.size > b.size : a.label < b.label;
-  });
+  if (disconnected) {
+    obs::Phase census(components, phase::kComponents);
+    std::unordered_map<vid_t, vid_t> size_of;
+    for (const vid_t l : labels) ++size_of[l];
+    comps.reserve(size_of.size());
+    for (const auto& [label, size] : size_of) comps.push_back({label, size});
+    std::sort(comps.begin(), comps.end(), [](const Comp& a, const Comp& b) {
+      return a.size != b.size ? a.size > b.size : a.label < b.label;
+    });
+    if (copts.policy == DisconnectedPolicy::Largest) {
+      result.used_subgraph = true;
+      result.subgraph = ExtractComponent(graph, labels, comps.front().label);
+    }
+  }
 
-  if (copts.policy == DisconnectedPolicy::Largest) {
-    result.used_subgraph = true;
-    result.subgraph = ExtractComponent(graph, labels, comps.front().label);
-    result.hde = run(result.subgraph.graph, options);
+  if (!disconnected || result.used_subgraph) {
+    const CsrGraph& laid = result.used_subgraph ? result.subgraph.graph : graph;
+    result.hde = run(laid, options);
     result.hde.components.assign(
-        1, StatFor(result.subgraph.graph,
-                   ComputeBoundingBox(result.hde.layout)));
+        1, StatFor(laid, ComputeBoundingBox(result.hde.layout)));
+    result.hde.timings.Merge(components);
     return result;
   }
 
   // ---- Pack: independent layouts shelf-packed into a grid. Cell sides
   // scale with sqrt(|V_c|) so drawing area tracks component size; the pad
-  // keeps every pair of bounding boxes strictly disjoint. ----
+  // keeps every pair of bounding boxes strictly disjoint. The packed
+  // coordinates are mirrored into the axes matrix so downstream consumers
+  // that read axes instead of layout see the same picture. ----
   const double pad = std::max(copts.pad, 1e-3);
-  double area = 0.0;
-  double max_side = 0.0;
   std::vector<double> sides(comps.size());
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    sides[i] = std::max(1.0, std::sqrt(static_cast<double>(comps[i].size)));
-    area += (sides[i] + pad) * (sides[i] + pad);
-    max_side = std::max(max_side, sides[i]);
+  double shelf_width = 0.0;
+  {
+    obs::Phase pack(components, phase::kComponents);
+    double area = 0.0;
+    double max_side = 0.0;
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+      sides[i] = std::max(1.0, std::sqrt(static_cast<double>(comps[i].size)));
+      area += (sides[i] + pad) * (sides[i] + pad);
+      max_side = std::max(max_side, sides[i]);
+    }
+    shelf_width = std::max(max_side, 1.1 * std::sqrt(area));
+
+    result.hde.layout.x.assign(static_cast<std::size_t>(n), 0.0);
+    result.hde.layout.y.assign(static_cast<std::size_t>(n), 0.0);
+    result.hde.axes = DenseMatrix(static_cast<std::size_t>(n), 2);
+    result.hde.components.reserve(comps.size());
   }
-  const double shelf_width = std::max(max_side, 1.1 * std::sqrt(area));
 
-  result.hde.layout.x.assign(static_cast<std::size_t>(n), 0.0);
-  result.hde.layout.y.assign(static_cast<std::size_t>(n), 0.0);
-  result.hde.components.reserve(comps.size());
-
-  double pack_seconds = 0.0;
   double cur_x = 0.0;
   double cur_y = 0.0;
   double row_height = 0.0;
   for (std::size_t i = 0; i < comps.size(); ++i) {
-    WallTimer overhead;
+    const ComponentExtraction part = [&] {
+      obs::Phase extract(components, phase::kComponents);
+      return ExtractComponent(graph, labels, comps[i].label);
+    }();
+
+    const HdeResult sub = run(part.graph, options);
+
+    obs::Phase pack(components, phase::kComponents);
     const double side = sides[i];
     if (cur_x > 0.0 && cur_x + side > shelf_width) {
       cur_x = 0.0;
@@ -119,13 +139,6 @@ ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,
     row_height = std::max(row_height, side);
     cur_x += side + pad;
 
-    const ComponentExtraction part =
-        ExtractComponent(graph, labels, comps[i].label);
-    pack_seconds += overhead.Seconds();
-
-    const HdeResult sub = run(part.graph, options);
-
-    overhead.Reset();
     // Fit the component's layout into its [cell, cell+side]^2 cell,
     // preserving aspect and centering the slack. Zero-extent layouts
     // (singletons, collinear degenerate cases) land at the cell center.
@@ -134,22 +147,20 @@ ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,
     const double scale = extent > 0.0 ? side / extent : 0.0;
     const double off_x = cell_x + (side - box.Width() * scale) / 2.0;
     const double off_y = cell_y + (side - box.Height() * scale) / 2.0;
+    Layout placed;
+    placed.x.reserve(part.new_to_old.size());
+    placed.y.reserve(part.new_to_old.size());
     for (std::size_t v = 0; v < part.new_to_old.size(); ++v) {
       const auto old_v = static_cast<std::size_t>(part.new_to_old[v]);
-      result.hde.layout.x[old_v] = off_x + (sub.layout.x[v] - box.min_x) * scale;
-      result.hde.layout.y[old_v] = off_y + (sub.layout.y[v] - box.min_y) * scale;
+      placed.x.push_back(off_x + (sub.layout.x[v] - box.min_x) * scale);
+      placed.y.push_back(off_y + (sub.layout.y[v] - box.min_y) * scale);
+      result.hde.layout.x[old_v] = result.hde.axes.At(old_v, 0) = placed.x[v];
+      result.hde.layout.y[old_v] = result.hde.axes.At(old_v, 1) = placed.y[v];
     }
 
     // Bookkeeping: stats in packed coordinates, pivots in input-graph ids,
     // phase timings summed across components. The eigen data of the
     // largest component (processed first) represents the run.
-    Layout placed;
-    placed.x.reserve(part.new_to_old.size());
-    placed.y.reserve(part.new_to_old.size());
-    for (const vid_t old_v : part.new_to_old) {
-      placed.x.push_back(result.hde.layout.x[static_cast<std::size_t>(old_v)]);
-      placed.y.push_back(result.hde.layout.y[static_cast<std::size_t>(old_v)]);
-    }
     result.hde.components.push_back(
         StatFor(part.graph, ComputeBoundingBox(placed)));
     for (const vid_t p : sub.pivots) {
@@ -163,19 +174,8 @@ ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,
       result.hde.axis_eigenvalue[1] = sub.axis_eigenvalue[1];
       result.hde.eigenvalues = sub.eigenvalues;
     }
-    pack_seconds += overhead.Seconds();
   }
-  result.hde.timings.Add(phase::kComponents, pack_seconds);
-
-  // Mirror the packed coordinates into the axes matrix so downstream
-  // consumers that read axes instead of layout see the same picture.
-  result.hde.axes = DenseMatrix(static_cast<std::size_t>(n), 2);
-  for (vid_t v = 0; v < n; ++v) {
-    result.hde.axes.At(static_cast<std::size_t>(v), 0) =
-        result.hde.layout.x[static_cast<std::size_t>(v)];
-    result.hde.axes.At(static_cast<std::size_t>(v), 1) =
-        result.hde.layout.y[static_cast<std::size_t>(v)];
-  }
+  result.hde.timings.Merge(components);
   return result;
 }
 

@@ -57,7 +57,8 @@ struct ComponentsLayoutResult {
 /// Disconnected inputs follow `copts.policy`. Pivot ids in the result are
 /// remapped to input-graph ids (Pack) or left in subgraph ids (Largest,
 /// where `subgraph` carries the mapping). Per-component phase timings are
-/// merged phase-wise; packing overhead is recorded under "Components".
+/// merged phase-wise; the label pass, census, extraction and packing are
+/// booked under "Components" for every policy.
 /// Throws ParhdeError(kDisconnected) under the Reject policy, and
 /// propagates any ParhdeError from the wrapped driver.
 ComponentsLayoutResult RunHdeOnComponents(const CsrGraph& graph,

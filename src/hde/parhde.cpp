@@ -11,7 +11,7 @@
 #include "linalg/laplacian_ops.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "resilience/recovery.hpp"
 #include "util/parallel.hpp"
@@ -126,8 +126,7 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
       }
       IncrementalDOrthogonalizer ortho(S, metric, gs_opts);
       {
-        ScopedPhase scoped(result.timings, phase::kDOrtho);
-        obs::ThreadPhaseContext obs_phase(phase::kDOrtho);
+        obs::Phase dortho(result.timings, phase::kDOrtho);
         Fill(S.Col(0), 1.0 / std::sqrt(static_cast<double>(n)));
         ortho.Push(0);
       }
@@ -137,13 +136,12 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
         result.pivots.push_back(source);
         bool saturated = false;
         {
-          ScopedPhase scoped(result.timings, phase::kBfs);
-          obs::ThreadPhaseContext obs_phase(phase::kBfs);
+          obs::Phase bfs(result.timings, phase::kBfs);
           const std::vector<dist_t> hops =
               RunSingleSearch(graph, source, options,
                               B.Col(static_cast<std::size_t>(i)),
                               &result.bfs_stats, sssp_maxw);
-          WallTimer other;
+          obs::Phase other(result.timings, phase::kBfsOther);
           MinInto(to_sources, hops);
           source = ArgmaxFiniteDistance(to_sources);
           // Saturation: the farthest reachable vertex already is a pivot
@@ -153,14 +151,9 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
           // away.
           saturated = source == kInvalidVid ||
                       to_sources[static_cast<std::size_t>(source)] == 0;
-          const double other_seconds = other.Seconds();
-          result.timings.Add(phase::kBfsOther, other_seconds);
-          result.timings.Add(phase::kBfs, -other_seconds);
         }
         {
-          ScopedPhase scoped(result.timings, phase::kDOrtho);
-          obs::ThreadPhaseContext obs_phase(phase::kDOrtho);
-          PARHDE_TRACE_SPAN("dortho.push");
+          obs::Phase dortho(result.timings, phase::kDOrtho);
           Copy(B.Col(static_cast<std::size_t>(i)),
                S.Col(static_cast<std::size_t>(i) + 1));
           ortho.Push(static_cast<std::size_t>(i) + 1);
@@ -198,24 +191,13 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
   if (!use_coupled) {
     WallTimer decoupled_timer;
     // ---- BFS phase: s traversals, interleaved with pivot selection. ----
-    DistancePhase distances = [&] {
-      obs::ThreadPhaseContext obs_phase(phase::kBfs);
-      PARHDE_TRACE_SPAN("parhde.bfs_phase");
-      return RunDistancePhaseWithRecovery(graph, options);
-    }();
-    result.pivots = distances.pivots;
-    result.bfs_stats = distances.stats;
-    result.timings.Add(phase::kBfs, distances.traversal_seconds);
-    result.timings.Add(phase::kBfsOther, distances.other_seconds);
-    B = std::move(distances.B);
+    B = RunDistancePhaseWithRecovery(graph, options, result);
 
     // ---- DOrtho phase: build S = [s0 | b1 .. bs] and D-orthogonalize,
     // under the GS downgrade ladder (blocked/classical -> pipelined MGS ->
     // reference MGS). Each attempt rebuilds S from the retained B: a failed
     // attempt leaves S scaled, compacted, or poisoned in place.
-    ScopedPhase scoped(result.timings, phase::kDOrtho);
-    obs::ThreadPhaseContext obs_phase(phase::kDOrtho);
-    PARHDE_TRACE_SPAN("parhde.dortho_phase");
+    obs::Phase dortho(result.timings, phase::kDOrtho);
     std::vector<const char*> gs_rungs;
     std::vector<GramSchmidtOptions> gs_configs;
     {
@@ -287,27 +269,21 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
   // ---- TripleProd phase: P = L·S (fused SpMM), then Z = Sᵀ·P. ----
   DenseMatrix P(S.Rows(), S.Cols());
   {
-    ScopedPhase scoped(result.timings, phase::kTripleProdLs);
-    obs::ThreadPhaseContext obs_phase(phase::kTripleProdLs);
-    PARHDE_TRACE_SPAN("parhde.tripleprod_ls");
+    obs::Phase ls(result.timings, phase::kTripleProdLs);
     SpmmOptions spmm;
     spmm.block_width = options.spmm_block;
     LaplacianTimesMatrix(graph, S, P, spmm);
   }
   DenseMatrix Z;
   {
-    ScopedPhase scoped(result.timings, phase::kTripleProdGemm);
-    obs::ThreadPhaseContext obs_phase(phase::kTripleProdGemm);
-    PARHDE_TRACE_SPAN("parhde.tripleprod_gemm");
+    obs::Phase gemm(result.timings, phase::kTripleProdGemm);
     Z = TransposeTimes(S, P);
   }
 
   // ---- Eigensolve on the small s x s matrix. ----
   DenseMatrix Y;
   {
-    ScopedPhase scoped(result.timings, phase::kEigensolve);
-    obs::ThreadPhaseContext obs_phase(phase::kEigensolve);
-    PARHDE_TRACE_SPAN("parhde.eigensolve");
+    obs::Phase eigensolve(result.timings, phase::kEigensolve);
     EigenDecomposition eig =
         resilience::SolveSmallEigen(Z, phase::kEigensolve, options.resilience);
     // With S D-orthonormal, minimizing the Hall energy in the subspace means
@@ -326,9 +302,7 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
 
   // ---- Coordinates: axes = B·Y (paper literal) or S·Y. ----
   {
-    ScopedPhase scoped(result.timings, phase::kOther);
-    obs::ThreadPhaseContext obs_phase(phase::kOther);
-    PARHDE_TRACE_SPAN("parhde.coords");
+    obs::Phase other(result.timings, phase::kOther);
     if (options.basis == CoordBasis::Subspace) {
       result.axes = TallTimesSmall(S, Y);
     } else {

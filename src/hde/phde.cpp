@@ -6,11 +6,9 @@
 #include "linalg/gemm.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
-#include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "resilience/recovery.hpp"
-#include "util/status.hpp"
 
 namespace parhde {
 
@@ -26,41 +24,33 @@ HdeResult RunPhde(const CsrGraph& graph, const HdeOptions& options_in) {
   HdeResult result;
 
   // ---- BFS phase (same machinery as ParHDE). ----
-  DistancePhase distances = [&] {
-    obs::ThreadPhaseContext obs_phase(phase::kBfs);
-    PARHDE_TRACE_SPAN("phde.bfs_phase");
-    return RunDistancePhaseWithRecovery(graph, options);
-  }();
-  result.pivots = distances.pivots;
-  result.bfs_stats = distances.stats;
-  result.timings.Add(phase::kBfs, distances.traversal_seconds);
-  result.timings.Add(phase::kBfsOther, distances.other_seconds);
-  DenseMatrix& C = distances.B;
+  DenseMatrix C = RunDistancePhaseWithRecovery(graph, options, result);
 
   // ---- Column centering: two-phase (parallel mean, parallel subtract). ----
   {
-    ScopedPhase scoped(result.timings, phase::kColCenter);
-    obs::ThreadPhaseContext obs_phase(phase::kColCenter);
+    obs::Phase center(result.timings, phase::kColCenter);
     for (std::size_t c = 0; c < C.Cols(); ++c) CenterInPlace(C.Col(c));
   }
   CheckMatrixFinite(C, phase::kColCenter, "centered distance matrix");
   result.kept_columns = static_cast<int>(C.Cols());
 
+  PcaCoordinates(C, options, result);
+  return result;
+}
+
+void PcaCoordinates(const DenseMatrix& C, const HdeOptions& options,
+                    HdeResult& result) {
   // ---- MatMul: the small Gram matrix CᵀC. ----
   DenseMatrix Z;
   {
-    ScopedPhase scoped(result.timings, phase::kMatMul);
-    obs::ThreadPhaseContext obs_phase(phase::kMatMul);
-    PARHDE_TRACE_SPAN("phde.matmul");
+    obs::Phase matmul(result.timings, phase::kMatMul);
     Z = TransposeTimes(C, C);
   }
 
   // ---- Eigensolve: PCA takes the two *largest* eigenvalues of CᵀC. ----
   DenseMatrix Y;
   {
-    ScopedPhase scoped(result.timings, phase::kEigensolve);
-    obs::ThreadPhaseContext obs_phase(phase::kEigensolve);
-    PARHDE_TRACE_SPAN("phde.eigensolve");
+    obs::Phase eigensolve(result.timings, phase::kEigensolve);
     const EigenDecomposition eig =
         resilience::SolveSmallEigen(Z, phase::kEigensolve, options.resilience);
     const std::size_t axes = std::min<std::size_t>(2, eig.values.size());
@@ -72,18 +62,16 @@ HdeResult RunPhde(const CsrGraph& graph, const HdeOptions& options_in) {
 
   // ---- Coordinates: [x,y] = C·Y. ----
   {
-    ScopedPhase scoped(result.timings, phase::kOther);
-    obs::ThreadPhaseContext obs_phase(phase::kOther);
+    obs::Phase other(result.timings, phase::kOther);
     const DenseMatrix coords = TallTimesSmall(C, Y);
     result.layout.x.assign(coords.Col(0).begin(), coords.Col(0).end());
     if (coords.Cols() > 1) {
       result.layout.y.assign(coords.Col(1).begin(), coords.Col(1).end());
     } else {
-      result.layout.y.assign(static_cast<std::size_t>(n), 0.0);
+      result.layout.y.assign(C.Rows(), 0.0);
     }
   }
   CheckLayoutFinite(result.layout, phase::kEigensolve);
-  return result;
 }
 
 }  // namespace parhde

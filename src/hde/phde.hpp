@@ -14,4 +14,11 @@ namespace parhde {
 /// "Eigensolve", "Other".
 HdeResult RunPhde(const CsrGraph& graph, const HdeOptions& options = {});
 
+/// The PCA tail PHDE and PivotMDS share, on the centered n x k matrix C:
+/// the phases "MatMul" (CᵀC), "Eigensolve" (the two largest eigenpairs)
+/// and "Other" (coordinates [x,y] = C·Y), booked into `result`. Throws
+/// ParhdeError(kNumerical) on a non-finite coordinate.
+void PcaCoordinates(const DenseMatrix& C, const HdeOptions& options,
+                    HdeResult& result);
+
 }  // namespace parhde

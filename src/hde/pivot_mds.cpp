@@ -2,15 +2,11 @@
 
 #include <algorithm>
 
+#include "hde/phde.hpp"
 #include "hde/pivots.hpp"
-#include "linalg/gemm.hpp"
-#include "linalg/jacobi_eigen.hpp"
-#include "linalg/vector_ops.hpp"
-#include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
-#include "resilience/recovery.hpp"
-#include "util/status.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 
@@ -26,98 +22,66 @@ HdeResult RunPivotMds(const CsrGraph& graph, const HdeOptions& options_in) {
   HdeResult result;
 
   // ---- BFS phase. ----
-  DistancePhase distances = [&] {
-    obs::ThreadPhaseContext obs_phase(phase::kBfs);
-    PARHDE_TRACE_SPAN("pivot_mds.bfs_phase");
-    return RunDistancePhaseWithRecovery(graph, options);
-  }();
-  result.pivots = distances.pivots;
-  result.bfs_stats = distances.stats;
-  result.timings.Add(phase::kBfs, distances.traversal_seconds);
-  result.timings.Add(phase::kBfsOther, distances.other_seconds);
-  DenseMatrix& C = distances.B;
+  DenseMatrix C = RunDistancePhaseWithRecovery(graph, options, result);
   const std::size_t cols = C.Cols();
   const auto rows = static_cast<std::int64_t>(C.Rows());
 
   // ---- Double centering of the squared distances. ----
   {
-    ScopedPhase scoped(result.timings, phase::kDblCenter);
-    obs::ThreadPhaseContext obs_phase(phase::kDblCenter);
-    // Square in place, accumulating column means.
+    obs::Phase center(result.timings, phase::kDblCenter);
+    // Square in place, accumulating column means. The sums fold in block
+    // order, so the centering is identical at every thread count.
     std::vector<double> col_mean(cols, 0.0);
     for (std::size_t c = 0; c < cols; ++c) {
       auto col = C.Col(c);
-      double total = 0.0;
-#pragma omp parallel for reduction(+ : total) schedule(static)
-      for (std::int64_t i = 0; i < rows; ++i) {
-        const double sq = col[static_cast<std::size_t>(i)] *
-                          col[static_cast<std::size_t>(i)];
-        col[static_cast<std::size_t>(i)] = sq;
-        total += sq;
-      }
+      const double total = ParallelReduce(
+          rows, kStreamGrain, 0.0,
+          [&](std::int64_t lo, std::int64_t hi) {
+            double partial = 0.0;
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const double sq = col[static_cast<std::size_t>(i)] *
+                                col[static_cast<std::size_t>(i)];
+              col[static_cast<std::size_t>(i)] = sq;
+              partial += sq;
+            }
+            return partial;
+          },
+          [](double a, double b) { return a + b; });
       col_mean[c] = total / static_cast<double>(rows);
     }
     // Row means and grand mean.
     std::vector<double> row_mean(static_cast<std::size_t>(rows), 0.0);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < rows; ++i) {
-      double total = 0.0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        total += C.Col(c)[static_cast<std::size_t>(i)];
+    ParallelFor(rows, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i) {
+        double total = 0.0;
+        for (std::size_t c = 0; c < cols; ++c) {
+          total += C.Col(c)[static_cast<std::size_t>(i)];
+        }
+        row_mean[static_cast<std::size_t>(i)] =
+            total / static_cast<double>(cols);
       }
-      row_mean[static_cast<std::size_t>(i)] =
-          total / static_cast<double>(cols);
-    }
+    });
     double grand = 0.0;
     for (const double cm : col_mean) grand += cm;
     grand /= static_cast<double>(cols);
     // Apply: c_ij = -1/2 (d² − rowmean − colmean + grand).
     for (std::size_t c = 0; c < cols; ++c) {
       auto col = C.Col(c);
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < rows; ++i) {
-        col[static_cast<std::size_t>(i)] =
-            -0.5 * (col[static_cast<std::size_t>(i)] -
-                    row_mean[static_cast<std::size_t>(i)] - col_mean[c] + grand);
-      }
+      ParallelFor(rows, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          col[static_cast<std::size_t>(i)] =
+              -0.5 * (col[static_cast<std::size_t>(i)] -
+                      row_mean[static_cast<std::size_t>(i)] - col_mean[c] +
+                      grand);
+        }
+      });
     }
   }
   CheckMatrixFinite(C, phase::kDblCenter, "double-centered distance matrix");
   result.kept_columns = static_cast<int>(cols);
 
   // ---- MatMul, eigensolve (largest), and coordinates — as PHDE. ----
-  DenseMatrix Z;
-  {
-    ScopedPhase scoped(result.timings, phase::kMatMul);
-    obs::ThreadPhaseContext obs_phase(phase::kMatMul);
-    PARHDE_TRACE_SPAN("pivot_mds.matmul");
-    Z = TransposeTimes(C, C);
-  }
-  DenseMatrix Y;
-  {
-    ScopedPhase scoped(result.timings, phase::kEigensolve);
-    obs::ThreadPhaseContext obs_phase(phase::kEigensolve);
-    PARHDE_TRACE_SPAN("pivot_mds.eigensolve");
-    const EigenDecomposition eig =
-        resilience::SolveSmallEigen(Z, phase::kEigensolve, options.resilience);
-    const std::size_t axes = std::min<std::size_t>(2, eig.values.size());
-    Y = LargestEigenvectors(eig, axes);
-    for (std::size_t a = 0; a < axes; ++a) {
-      result.axis_eigenvalue[a] = eig.values[eig.values.size() - 1 - a];
-    }
-  }
-  {
-    ScopedPhase scoped(result.timings, phase::kOther);
-    obs::ThreadPhaseContext obs_phase(phase::kOther);
-    const DenseMatrix coords = TallTimesSmall(C, Y);
-    result.layout.x.assign(coords.Col(0).begin(), coords.Col(0).end());
-    if (coords.Cols() > 1) {
-      result.layout.y.assign(coords.Col(1).begin(), coords.Col(1).end());
-    } else {
-      result.layout.y.assign(static_cast<std::size_t>(n), 0.0);
-    }
-  }
-  CheckLayoutFinite(result.layout, phase::kEigensolve);
+  PcaCoordinates(C, options, result);
   return result;
 }
 

@@ -8,7 +8,7 @@
 #include "bfs/ms_bfs.hpp"
 #include "bfs/serial_bfs.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "resilience/recovery.hpp"
 #include "sssp/delta_stepping.hpp"
@@ -159,20 +159,19 @@ DistancePhase RunKCentersPhase(const CsrGraph& graph,
   for (int i = 0; i < s; ++i) {
     phase.pivots.push_back(source);
 
-    WallTimer traversal;
     const std::vector<dist_t> hops =
         RunSingleSearch(graph, source, opts,
                         phase.B.Col(static_cast<std::size_t>(i)), &phase.stats,
                         maxw);
-    phase.traversal_seconds += traversal.Seconds();
     filled = i + 1;
 
-    // "BFS: Other": maintain min-distance-to-any-source and find the
-    // farthest vertex, which seeds the next search.
-    WallTimer other;
-    MinInto(to_sources, hops);
-    source = ArgmaxFiniteDistance(to_sources);
-    phase.other_seconds += other.Seconds();
+    {
+      // "BFS: Other": maintain min-distance-to-any-source and find the
+      // farthest vertex, which seeds the next search.
+      obs::Phase other(phase.timings, phase::kBfsOther);
+      MinInto(to_sources, hops);
+      source = ArgmaxFiniteDistance(to_sources);
+    }
     // Saturation: the farthest reachable vertex is already a pivot (its
     // min-distance-to-sources is 0 — only pivots sit at 0). Continuing
     // would push duplicates and re-run identical searches, so stop and
@@ -216,7 +215,6 @@ DistancePhase RunRandomSsspPhase(const CsrGraph& graph,
       (options.sssp_engine == SsspEngine::Concurrent ||
        (options.sssp_engine == SsspEngine::Auto && s >= NumThreads()));
 
-  WallTimer traversal;
   if (concurrent) {
     MultiSsspStats ms;
     ConcurrentSsspToColumns(graph, phase.pivots, phase.B, 0, opts.sssp.delta,
@@ -229,7 +227,6 @@ DistancePhase RunRandomSsspPhase(const CsrGraph& graph,
                       maxw);
     }
   }
-  phase.traversal_seconds = traversal.Seconds();
   return phase;
 }
 
@@ -246,7 +243,6 @@ DistancePhase RunRandomPhase(const CsrGraph& graph, const HdeOptions& options) {
   phase.B = DenseMatrix(static_cast<std::size_t>(n), static_cast<std::size_t>(s));
   phase.pivots = RandomPivots(n, s, options.seed);
 
-  WallTimer traversal;
   // The batched engine runs when explicitly requested, or — under the
   // default kernel with enough sources to amortize — when a one-sweep
   // diameter probe says the lane waves will overlap (kMsBfsDiameterCap).
@@ -299,7 +295,6 @@ DistancePhase RunRandomPhase(const CsrGraph& graph, const HdeOptions& options) {
       }
     });
   }
-  phase.traversal_seconds = traversal.Seconds();
   return phase;
 }
 
@@ -365,8 +360,9 @@ DistancePhase RunDistancePhase(const CsrGraph& graph,
   return RunKCentersPhase(graph, options);
 }
 
-DistancePhase RunDistancePhaseWithRecovery(const CsrGraph& graph,
-                                           const HdeOptions& options) {
+DenseMatrix RunDistancePhaseWithRecovery(const CsrGraph& graph,
+                                         const HdeOptions& options,
+                                         HdeResult& result) {
   // Build the downgrade ladder for the configured kernel. Each rung is a
   // full HdeOptions so a retry can change more than one knob (kernel,
   // engine, the msbfs auto-upgrade) at once.
@@ -426,16 +422,24 @@ DistancePhase RunDistancePhaseWithRecovery(const CsrGraph& graph,
       break;
   }
 
-  return resilience::RunLadder(
-      phase::kBfs, options.resilience,
-      options.resilience.distance_budget_seconds, rungs.data(), rungs.size(),
-      [&](std::size_t rung) {
-        DistancePhase phase = RunDistancePhase(graph, configs[rung]);
-        // A poisoned traversal (injected or real) surfaces here as a typed
-        // kNumerical the ladder can absorb, not as corrupt coordinates.
-        CheckMatrixFinite(phase.B, phase::kBfs, "distance matrix");
-        return phase;
-      });
+  DistancePhase distances = [&] {
+    obs::Phase bfs(result.timings, phase::kBfs);
+    return resilience::RunLadder(
+        phase::kBfs, options.resilience,
+        options.resilience.distance_budget_seconds, rungs.data(),
+        rungs.size(), [&](std::size_t rung) {
+          DistancePhase phase = RunDistancePhase(graph, configs[rung]);
+          // A poisoned traversal (injected or real) surfaces here as a
+          // typed kNumerical the ladder can absorb, not as corrupt
+          // coordinates.
+          CheckMatrixFinite(phase.B, phase::kBfs, "distance matrix");
+          return phase;
+        });
+  }();
+  result.timings.Merge(distances.timings);
+  result.pivots = std::move(distances.pivots);
+  result.bfs_stats = distances.stats;
+  return std::move(distances.B);
 }
 
 }  // namespace parhde

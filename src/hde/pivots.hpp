@@ -23,24 +23,26 @@ struct DistancePhase {
   DenseMatrix B;               // n x s, column i = distances from pivot i
   std::vector<vid_t> pivots;   // selection order
   BfsStats stats;              // aggregate over all searches
-  double traversal_seconds = 0.0;  // time inside BFS/SSSP kernels
-  double other_seconds = 0.0;      // min-update + farthest-vertex search
+  PhaseTimings timings;        // BFS:Other (k-centers selection) phases
 };
 
 /// Runs the full distance phase per `options` (strategy x kernel).
 DistancePhase RunDistancePhase(const CsrGraph& graph,
                                const HdeOptions& options);
 
-/// RunDistancePhase wrapped in the distance recovery ladder: each attempt
-/// runs under the per-phase deadline budget and its B matrix is checked
-/// finite; on a retryable failure (kNumerical / kNoConvergence /
-/// kDeadlineExceeded) under RecoveryPolicy::Ladder the kernel is downgraded
-/// — MS-BFS to direction-optimizing BFS, concurrent Δ-stepping to parallel
-/// Δ-stepping to serial Dijkstra — and the phase rerun. Every attempt is
-/// recorded in the recovery log. The shared BFS-phase entry point of the
-/// decoupled ParHDE, PHDE, and PivotMDS drivers.
-DistancePhase RunDistancePhaseWithRecovery(const CsrGraph& graph,
-                                           const HdeOptions& options);
+/// The BFS phase of a driver: RunDistancePhase wrapped in the distance
+/// recovery ladder, inside one obs::Phase(kBfs). Each attempt runs under
+/// the per-phase deadline budget and its B matrix is checked finite; on a
+/// retryable failure (kNumerical / kNoConvergence / kDeadlineExceeded)
+/// under RecoveryPolicy::Ladder the kernel is downgraded — MS-BFS to
+/// direction-optimizing BFS, concurrent Δ-stepping to parallel Δ-stepping
+/// to serial Dijkstra — and the phase rerun. Every attempt is recorded in
+/// the recovery log. Books BFS and BFS:Other into result.timings, fills
+/// result.pivots and result.bfs_stats, and returns B. The shared BFS-phase
+/// entry point of the decoupled ParHDE, PHDE, and PivotMDS drivers.
+DenseMatrix RunDistancePhaseWithRecovery(const CsrGraph& graph,
+                                         const HdeOptions& options,
+                                         HdeResult& result);
 
 /// `count` distinct pivots drawn uniformly without repetition.
 std::vector<vid_t> RandomPivots(vid_t n, int count, std::uint64_t seed);

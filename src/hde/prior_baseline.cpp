@@ -11,7 +11,7 @@
 #include "linalg/laplacian_ops.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "util/prng.hpp"
 
@@ -69,12 +69,11 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
     std::vector<dist_t> to_sources(static_cast<std::size_t>(n), kInfDist);
     for (int i = 0; i < s; ++i) {
       result.pivots.push_back(source);
-      WallTimer traversal;
+      obs::Phase bfs(result.timings, phase::kBfs);
       const auto hops = SerialBfs(graph, source);
       obs::CounterAdd(obs::Counter::kSerialBfsSearches, 1);
-      result.timings.Add(phase::kBfs, traversal.Seconds());
 
-      WallTimer other;
+      obs::Phase other(result.timings, phase::kBfsOther);
       auto column = B.Col(static_cast<std::size_t>(i));
       for (vid_t v = 0; v < n; ++v) {
         const dist_t d = hops[static_cast<std::size_t>(v)];
@@ -93,7 +92,6 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
         }
       }
       source = far == kInvalidVid ? source : far;
-      result.timings.Add(phase::kBfsOther, other.Seconds());
     }
   }
 
@@ -101,8 +99,7 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
   DenseMatrix S(static_cast<std::size_t>(n), static_cast<std::size_t>(s) + 1);
   std::vector<std::size_t> kept;
   {
-    ScopedPhase scoped(result.timings, phase::kDOrtho);
-    obs::ThreadPhaseContext obs_phase(phase::kDOrtho);
+    obs::Phase dortho(result.timings, phase::kDOrtho);
     Fill(S.Col(0), 1.0 / std::sqrt(static_cast<double>(n)));
     for (int i = 0; i < s; ++i) {
       Copy(B.Col(static_cast<std::size_t>(i)),
@@ -142,8 +139,7 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
   // ---- TripleProd through the explicitly constructed Laplacian. ----
   DenseMatrix P(S.Rows(), S.Cols());
   {
-    ScopedPhase scoped(result.timings, phase::kTripleProdLs);
-    obs::ThreadPhaseContext obs_phase(phase::kTripleProdLs);
+    obs::Phase ls(result.timings, phase::kTripleProdLs);
     // The explicit construction is what blew up the prior code's memory
     // footprint (§4.2) — and unlike MKL's untimed allocation (§4.4), it is
     // part of the measured step here, as it was in the prior code.
@@ -152,14 +148,13 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
   }
   DenseMatrix Z;
   {
-    ScopedPhase scoped(result.timings, phase::kTripleProdGemm);
-    obs::ThreadPhaseContext obs_phase(phase::kTripleProdGemm);
+    obs::Phase gemm(result.timings, phase::kTripleProdGemm);
     Z = TransposeTimes(S, P);
   }
 
   DenseMatrix Y;
   {
-    ScopedPhase scoped(result.timings, phase::kEigensolve);
+    obs::Phase eigensolve(result.timings, phase::kEigensolve);
     const EigenDecomposition eig = SymmetricEigen(Z);
     const std::size_t axes = std::min<std::size_t>(2, eig.values.size());
     Y = SmallestEigenvectors(eig, axes);
@@ -168,7 +163,7 @@ HdeResult RunPriorHde(const CsrGraph& graph, const HdeOptions& options_in) {
     }
   }
   {
-    ScopedPhase scoped(result.timings, phase::kOther);
+    obs::Phase other(result.timings, phase::kOther);
     // Coordinates from the surviving distance columns, as in RunParHde.
     DenseMatrix Bkept(B.Rows(), S.Cols());
     for (std::size_t c = 0; c + 1 < kept.size(); ++c) {

@@ -2,7 +2,7 @@
 
 #include "hde/refine.hpp"
 #include "multilevel/matching.hpp"
-#include "obs/thread_stats.hpp"
+#include "obs/phase.hpp"
 #include "obs/trace.hpp"
 
 namespace parhde {
@@ -24,8 +24,7 @@ MultilevelResult RunMultilevelHde(const CsrGraph& graph,
   // ---- Coarsening: build the hierarchy. ----
   std::vector<CoarseLevel> hierarchy;
   {
-    ScopedPhase scoped(result.timings, "Coarsen");
-    PARHDE_TRACE_SPAN("multilevel.coarsen");
+    obs::Phase coarsen(result.timings, "Coarsen");
     const CsrGraph* current = &graph;
     std::vector<double> weights;  // empty = unit masses at the finest level
     while (static_cast<int>(hierarchy.size()) < options.max_levels &&
@@ -47,22 +46,23 @@ MultilevelResult RunMultilevelHde(const CsrGraph& graph,
   result.coarsest_vertices = coarsest.NumVertices();
 
   // ---- Coarsest solve with ParHDE. Coarse graphs carry merged edge
-  // weights, which the D-orthogonalization uses as similarities. ----
+  // weights, which the D-orthogonalization uses as similarities. Its
+  // phases nest inside CoarseSolve, which keeps only the glue around them;
+  // merging them makes this result's phases cover the whole run. ----
   {
-    ScopedPhase scoped(result.timings, "CoarseSolve");
-    PARHDE_TRACE_SPAN("multilevel.coarse_solve");
+    obs::Phase coarse_solve(result.timings, "CoarseSolve");
     HdeOptions hde = options.hde;
     hde.subspace_dim =
         std::min<int>(hde.subspace_dim,
                       std::max<int>(2, coarsest.NumVertices() / 4));
     result.coarse_hde = RunParHde(coarsest, hde);
   }
+  result.timings.Merge(result.coarse_hde.timings);
 
   // ---- Prolongation: push coordinates down the hierarchy, smoothing each
   // level with weighted-centroid sweeps. ----
   {
-    ScopedPhase scoped(result.timings, "Prolong");
-    PARHDE_TRACE_SPAN("multilevel.prolong");
+    obs::Phase prolong(result.timings, "Prolong");
     Layout coords = result.coarse_hde.layout;
     for (int l = result.levels - 1; l >= 0; --l) {
       const CoarseLevel& level = hierarchy[static_cast<std::size_t>(l)];

@@ -29,7 +29,9 @@ struct MultilevelResult {
   int levels = 0;           // contractions performed
   vid_t coarsest_vertices = 0;
   HdeResult coarse_hde;     // the coarsest-level solve, for inspection
-  PhaseTimings timings;     // "Coarsen", "CoarseSolve", "Prolong"
+  /// "Coarsen", "CoarseSolve" (its glue) and "Prolong", plus the coarse
+  /// solve's own ParHDE phases.
+  PhaseTimings timings;
 };
 
 /// Runs multilevel ParHDE on a connected graph (n >= 3).

@@ -7,7 +7,7 @@
 // instructions, LLC references/misses, branch misses, stalled cycles,
 // plus the software events task-clock, page-faults, context-switches)
 // and piggybacks on the existing phase machinery: every
-// ScopedRegionTimer inside a ThreadPhaseContext reads the groups at
+// ScopedRegionTimer inside an obs::Phase reads the groups at
 // region entry and exit and charges the scaled deltas to the active
 // phase. No kernel gains a call site; enabling the layer is a CLI flag.
 //

@@ -119,6 +119,8 @@ std::string ReportToJson(const RunReport& report) {
 
   w.Key("total_seconds");
   w.Double(report.total_seconds);
+  w.Key("unattributed_seconds");
+  w.Double(report.total_seconds - report.timings.Total());
 
   w.Key("phases");
   w.BeginArray();
@@ -327,6 +329,9 @@ std::string ReportToText(const RunReport& report) {
                   report.timings.Percent(name));
     out += line;
   }
+  std::snprintf(line, sizeof(line), "  %-16s %8.4f s\n", "(unattributed)",
+                report.total_seconds - report.timings.Total());
+  out += line;
   for (const auto& [key, value] : report.metrics) {
     std::snprintf(line, sizeof(line), "%s: %.6g\n", key.c_str(), value);
     out += line;

@@ -11,7 +11,9 @@
 //       hw.available=false + reason on denied hosts), "memory"
 //       (getrusage peak RSS), and "rss_delta_bytes" per thread-phase row.
 //       Every /1 key is unchanged: a /1 reader ignoring unknown keys
-//       reads /2 documents correctly.
+//       reads /2 documents correctly. Later /2 documents add
+//       "unattributed_seconds" (total_seconds minus the phase sum); every
+//       other /2 key is unchanged.
 //
 // The human-readable summary the CLI prints is rendered from the SAME
 // RunReport by ReportToText, so the text and JSON outputs cannot disagree:
@@ -63,7 +65,7 @@ struct RunReport {
 
   // ---- results ----
   double total_seconds = 0.0;
-  PhaseTimings timings;
+  PhaseTimings timings;  // unattributed_seconds = total_seconds - Total()
   std::vector<std::pair<std::string, double>> metrics;  // e.g. energy
 
   // ---- observability (CollectObservability) ----

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstring>
 
-#include "util/memory.hpp"
+#include "obs/phase.hpp"
 #include "util/run_context.hpp"
 
 namespace parhde::obs {
@@ -24,7 +24,7 @@ struct PhaseRow {
   const char* name = nullptr;
   double seconds[kMaxTrackedThreads] = {};
   std::int64_t regions[kMaxTrackedThreads] = {};
-  // Written only by the serial control thread (ThreadPhaseContext dtor).
+  // Written only by the serial control thread (obs::Phase dtor).
   std::int64_t rss_delta_bytes = 0;
 };
 
@@ -32,11 +32,12 @@ ThreadPhaseTable::ThreadPhaseTable() = default;
 ThreadPhaseTable::~ThreadPhaseTable() = default;
 
 const char* ThreadPhaseTable::CurrentPhase() const {
-  return current_phase_.load(std::memory_order_relaxed);
+  const Phase* open = open_phase_.load(std::memory_order_acquire);
+  return open == nullptr ? nullptr : open->name();
 }
 
-const char* ThreadPhaseTable::ExchangeCurrentPhase(const char* phase) {
-  return current_phase_.exchange(phase, std::memory_order_relaxed);
+Phase* ThreadPhaseTable::ExchangeOpenPhase(Phase* phase) {
+  return open_phase_.exchange(phase, std::memory_order_acq_rel);
 }
 
 /// Index of `phase` in the table, registering it on first sight. Lock-free
@@ -123,28 +124,6 @@ void ThreadPhaseTable::Reset() {
     std::memset(rows_[i]->regions, 0, sizeof(rows_[i]->regions));
     rows_[i]->rss_delta_bytes = 0;
   }
-}
-
-ThreadPhaseContext::ThreadPhaseContext(const char* phase)
-    : table_(&util::CurrentRunContext()->thread_stats()),
-      rss_entry_(PeakRssBytes()) {
-  saved_ = table_->ExchangeCurrentPhase(phase);
-}
-
-ThreadPhaseContext::~ThreadPhaseContext() {
-  const char* phase = table_->ExchangeCurrentPhase(saved_);
-  if (phase == nullptr || rss_entry_ < 0) return;
-  const std::int64_t now = PeakRssBytes();
-  if (now <= rss_entry_) return;  // high-water mark did not move
-  table_->AddRssDelta(phase, now - rss_entry_);
-}
-
-const char* CurrentThreadPhase() {
-  return util::CurrentRunContext()->thread_stats().CurrentPhase();
-}
-
-void AddThreadTime(const char* phase, int tid, double seconds) {
-  util::CurrentRunContext()->thread_stats().AddTime(phase, tid, seconds);
 }
 
 ScopedRegionTimer::ScopedRegionTimer()

@@ -4,17 +4,17 @@
 // (imbalance ratio max/mean >> 1 means stragglers, ~1 means the phase is
 // memory-bound or serial-fraction-bound).
 //
-// Attribution works through a phase context rather than hard-coded names:
-// the driver wraps each phase in a ThreadPhaseContext (e.g. "DOrtho"), and
-// every instrumented OpenMP region (BFS steps, Gram-Schmidt kernels, the
-// fused SpMM, the small GEMM) charges its per-thread elapsed time to the
-// innermost active context. Regions executing with no context (library
-// calls from tests, LOBPCG, ...) record nothing and pay one relaxed atomic
-// load. This keeps shared kernels like TransposeTimes correctly attributed:
-// under ParHDE it books to "TripleProd:GEMM", under PHDE to "MatMul".
+// Attribution follows the innermost open obs::Phase (obs/phase.hpp) rather
+// than hard-coded names: every instrumented OpenMP region (BFS steps,
+// Gram-Schmidt kernels, the fused SpMM, the small GEMM) charges its
+// per-thread elapsed time to the phase open when it starts. Regions
+// executing with no open phase (library calls from tests, LOBPCG, ...)
+// record nothing and pay one atomic load. This keeps shared kernels like
+// TransposeTimes correctly attributed: under ParHDE it books to
+// "TripleProd:GEMM", under PHDE to "MatMul".
 //
 // Ownership: the [phase][thread] table lives in a ThreadPhaseTable owned
-// by a util::RunContext, resolved once per phase context / region timer.
+// by a util::RunContext, resolved once per phase / region timer.
 // This is what keeps the single-writer cell invariant true under the
 // layout service: two concurrent requests each run their own OpenMP team,
 // and omp_get_thread_num() values COLLIDE across teams — with one global
@@ -64,9 +64,11 @@ struct ThreadPhaseStats {
 /// One phase's [thread] row; defined in thread_stats.cpp.
 struct PhaseRow;
 
+class Phase;
+
 /// Per-run [phase][thread] timing table. One instance per
-/// util::RunContext; ThreadPhaseContext and ScopedRegionTimer resolve the
-/// active instance once at construction.
+/// util::RunContext; obs::Phase and ScopedRegionTimer resolve the active
+/// instance once at construction.
 class ThreadPhaseTable {
  public:
   ThreadPhaseTable();
@@ -75,11 +77,13 @@ class ThreadPhaseTable {
   ThreadPhaseTable(const ThreadPhaseTable&) = delete;
   ThreadPhaseTable& operator=(const ThreadPhaseTable&) = delete;
 
-  /// The phase instrumented regions currently charge to, or nullptr.
+  /// The phase instrumented regions currently charge to: the innermost
+  /// open obs::Phase's name, or nullptr.
   const char* CurrentPhase() const;
 
-  /// Sets the attribution phase; returns the previous one (for restore).
-  const char* ExchangeCurrentPhase(const char* phase);
+  /// Makes `phase` the innermost open phase; returns the previous one.
+  /// Called by obs::Phase on entry and exit.
+  Phase* ExchangeOpenPhase(Phase* phase);
 
   /// Charges `seconds` of busy time on OpenMP thread `tid` to `phase`.
   void AddTime(const char* phase, int tid, double seconds);
@@ -96,11 +100,11 @@ class ThreadPhaseTable {
  private:
   int SlotFor(const char* phase);
 
-  /// The active attribution phase. Written by the context's serial control
-  /// thread (ThreadPhaseContext), read by workers inside its parallel
-  /// regions; the OpenMP fork/join provides the ordering, the atomic keeps
-  /// the access data-race-free for the sanitizers.
-  std::atomic<const char*> current_phase_{nullptr};
+  /// The innermost open phase. Written by the context's serial control
+  /// thread (obs::Phase), read by workers inside its parallel regions; the
+  /// OpenMP fork/join provides the ordering, the atomic keeps the access
+  /// data-race-free for the sanitizers.
+  std::atomic<Phase*> open_phase_{nullptr};
   mutable std::mutex mutex_;  // guards slot registration only
   std::atomic<int> num_phases_{0};
   /// Fixed pointer array so the lock-free lookup path never races a
@@ -108,43 +112,11 @@ class ThreadPhaseTable {
   std::unique_ptr<PhaseRow> rows_[kMaxTrackedPhases];
 };
 
-/// Sets the attribution phase for instrumented regions entered while it is
-/// alive. Nestable (saves and restores the previous context). Construct on
-/// the serial control thread before the parallel region, like ScopedPhase.
-/// Binds to the run context active at construction. `phase` must outlive
-/// the context (use the phase:: constants).
-class ThreadPhaseContext {
- public:
-  explicit ThreadPhaseContext(const char* phase);
-  ~ThreadPhaseContext();
-
-  ThreadPhaseContext(const ThreadPhaseContext&) = delete;
-  ThreadPhaseContext& operator=(const ThreadPhaseContext&) = delete;
-
- private:
-  ThreadPhaseTable* table_;
-  const char* saved_;
-  // getrusage peak RSS at entry; the destructor charges the high-water
-  // growth observed while this context was active to its phase. Nested
-  // contexts each observe the same growth — per-phase deltas are an
-  // attribution aid, not a partition.
-  std::int64_t rss_entry_;
-};
-
-/// The phase instrumented regions currently charge to in the active run
-/// context, or nullptr.
-const char* CurrentThreadPhase();
-
-/// Charges `seconds` of busy time on OpenMP thread `tid` to the active
-/// context's current phase. No-op when no phase is active. Normally used
-/// via ScopedRegionTimer.
-void AddThreadTime(const char* phase, int tid, double seconds);
-
 /// RAII timer for use INSIDE an OpenMP parallel region: times this thread's
-/// execution of the region body and charges it to the active phase context.
+/// execution of the region body and charges it to the innermost open phase.
 /// ParallelFor/ParallelReduce (util/parallel.hpp) start one per team thread
 /// after binding the run context; kernels never construct it themselves.
-/// Costs one TLS read + one atomic load when no context is active.
+/// Costs one TLS read + one atomic load when no phase is open.
 class ScopedRegionTimer {
  public:
   ScopedRegionTimer();
@@ -155,7 +127,7 @@ class ScopedRegionTimer {
 
  private:
   ThreadPhaseTable* table_;  // the table phase_ was read from
-  const char* phase_;        // nullptr: context was inactive at entry
+  const char* phase_;        // nullptr: no phase was open at entry
   int tid_ = 0;
   std::uint64_t start_ns_ = 0;
   HwRegionSample hw_;        // inert unless --hw-counters enabled the layer

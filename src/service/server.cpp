@@ -17,6 +17,7 @@
 #include "hde/pivot_mds.hpp"
 #include "hde/prior_baseline.hpp"
 #include "multilevel/multilevel_hde.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "resilience/deadline.hpp"
 #include "util/json_writer.hpp"
@@ -284,7 +285,11 @@ std::string LayoutService::Execute(const LayoutRequest& req,
     try {
       resilience::DeadlineGuard guard("service.request", budget);
 
-      const GraphCache::Result cached = cache_.Get(req.graph);
+      PhaseTimings load;
+      const GraphCache::Result cached = [&] {
+        obs::Phase load_phase(load, "Load");
+        return cache_.Get(req.graph);
+      }();
       const CsrGraph& graph = *cached.graph;
 
       HdeOptions options = OptionsFromRequest(req);
@@ -314,7 +319,7 @@ std::string LayoutService::Execute(const LayoutRequest& req,
       if (!cached.stat_hit) {
         // The load phase only exists on a miss: its absence (and
         // load_seconds == 0) is how a cache hit is verified end to end.
-        report.timings.Add("Load", cached.load_seconds);
+        report.timings.Merge(load);
       }
       report.metrics.emplace_back("effective_pivots",
                                   static_cast<double>(res.hde.pivots.size()));

@@ -6,13 +6,16 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 #include "obs/counters.hpp"
 #include "obs/thread_stats.hpp"
 #include "obs/trace.hpp"
 #include "resilience/deadline.hpp"
 #include "resilience/fault_injection.hpp"
+#include "util/parallel.hpp"
 #include "util/run_context.hpp"
 
 namespace parhde {
@@ -66,24 +69,26 @@ weight_t DefaultDelta(const CsrGraph& graph) {
   if (!graph.HasWeights() || graph.NumArcs() == 0) return 1.0;
   const auto& weights = graph.Weights();
   const auto arcs = static_cast<std::int64_t>(weights.size());
-  weight_t total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < arcs; ++i) {
-    total += weights[static_cast<std::size_t>(i)];
-  }
+  // Block-ordered fold: the same Δ at every thread count.
+  const weight_t total = ParallelReduce(
+      arcs, kStreamGrain, weight_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        return std::accumulate(weights.begin() + lo, weights.begin() + hi,
+                               weight_t{0});
+      },
+      std::plus<>());
   return std::max<weight_t>(total / static_cast<weight_t>(arcs), 1e-12);
 }
 
 weight_t MaxEdgeWeight(const CsrGraph& graph) {
   if (!graph.HasWeights() || graph.NumArcs() == 0) return 1.0;
   const auto& weights = graph.Weights();
-  const auto arcs = static_cast<std::int64_t>(weights.size());
-  weight_t maxw = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : maxw)
-  for (std::int64_t i = 0; i < arcs; ++i) {
-    maxw = std::max(maxw, weights[static_cast<std::size_t>(i)]);
-  }
-  return maxw;
+  return ParallelReduce(
+      static_cast<std::int64_t>(weights.size()), kStreamGrain, weight_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        return *std::max_element(weights.begin() + lo, weights.begin() + hi);
+      },
+      [](weight_t a, weight_t b) { return std::max(a, b); });
 }
 
 SsspResult DeltaStepping(const CsrGraph& graph, vid_t source,

@@ -7,12 +7,13 @@
 namespace parhde {
 
 std::vector<std::int64_t> FibonacciSequence(int k) {
-  k = std::min(k, 91);  // F(92) overflows int64
+  k = std::min(k, 91);  // F(91) is the last term kept; F(93) overflows int64
   std::vector<std::int64_t> fib;
   fib.reserve(static_cast<std::size_t>(k) + 1);
   std::int64_t a = 0, b = 1;
   for (int i = 0; i <= k; ++i) {
     fib.push_back(a);
+    if (i == k) break;  // the add below would compute F(k + 2)
     const std::int64_t next = a + b;
     a = b;
     b = next;

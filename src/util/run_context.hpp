@@ -2,8 +2,8 @@
 // process-global per-run state.
 //
 // A RunContext holds one run's counter/series shards (obs::CounterStore),
-// trace rings (obs::TraceStore), per-thread phase table
-// (obs::ThreadPhaseTable), deadline token (resilience::DeadlineToken),
+// trace rings (obs::TraceStore), per-thread phase table and open-phase
+// chain (obs::ThreadPhaseTable), deadline token (resilience::DeadlineToken),
 // fault plan (resilience::FaultPlan), recovery log
 // (resilience::RecoveryLog), and the run PRNG seed. Kernels and the obs
 // layer keep their existing free-function APIs; those now resolve through

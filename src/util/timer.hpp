@@ -29,8 +29,9 @@ class WallTimer {
 
 /// Accumulates named phase timings (e.g. "BFS", "DOrtho", "TripleProd").
 ///
-/// The HDE drivers record into one of these so benchmarks can print the
-/// paper's percentage-breakdown figures without re-instrumenting.
+/// The HDE drivers record into one of these through obs::Phase scopes
+/// (obs/phase.hpp) so benchmarks can print the paper's percentage-breakdown
+/// figures without re-instrumenting.
 class PhaseTimings {
  public:
   /// Adds `seconds` to phase `name`, creating it on first use.
@@ -58,22 +59,6 @@ class PhaseTimings {
  private:
   std::map<std::string, double> seconds_;
   std::vector<std::string> order_;
-};
-
-/// RAII helper: times a scope and records it into a PhaseTimings on exit.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimings& sink, std::string name)
-      : sink_(sink), name_(std::move(name)) {}
-  ~ScopedPhase() { sink_.Add(name_, timer_.Seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimings& sink_;
-  std::string name_;
-  WallTimer timer_;
 };
 
 }  // namespace parhde

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "json_test_util.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/thread_stats.hpp"
 #include "util/memory.hpp"
@@ -28,7 +29,8 @@ constexpr const char kTestPhase[] = "HwPerfTestPhase";
 /// Runs an instrumented region under `kTestPhase` doing enough arithmetic
 /// for counters (or the task clock) to register.
 void SpinRegion() {
-  ThreadPhaseContext ctx(kTestPhase);
+  PhaseTimings timings;
+  Phase phase(timings, kTestPhase);
   ScopedRegionTimer timer;
   volatile double sink = 0.0;
   for (int i = 0; i < 4'000'000; ++i) sink = sink + static_cast<double>(i);
@@ -155,8 +157,9 @@ TEST_F(HwPerfTest, PeakRssIsReported) {
 
 TEST_F(HwPerfTest, PhaseContextChargesRssGrowth) {
   const std::int64_t before = PeakRssBytes();
+  PhaseTimings timings;
   {
-    ThreadPhaseContext ctx(kTestPhase);
+    Phase phase(timings, kTestPhase);
     // Touch a fresh 32 MiB block; if this raises the process high-water
     // mark, the delta must be charged to the active phase.
     std::vector<char> block(32u << 20, 1);
@@ -166,7 +169,7 @@ TEST_F(HwPerfTest, PhaseContextChargesRssGrowth) {
   const std::int64_t after = PeakRssBytes();
   const auto stats = SnapshotThreadStats();
   if (after > before) {
-    // The growth must be charged to the phase whose context was active.
+    // The growth must be charged to the phase that was open.
     ASSERT_EQ(stats.size(), 1u);
     EXPECT_EQ(stats[0].phase, kTestPhase);
     EXPECT_GT(stats[0].rss_delta_bytes, 0);

@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifdef __unix__
@@ -25,6 +26,7 @@
 
 #include "linalg/vector_ops.hpp"
 #include "obs/counters.hpp"
+#include "obs/phase.hpp"
 #include "obs/report.hpp"
 #include "obs/thread_stats.hpp"
 #include "obs/trace.hpp"
@@ -168,9 +170,10 @@ TEST(Counters, SeriesCapsAndCountsDrops) {
 
 TEST(ThreadStats, AttributesRegionTimeToActiveContext) {
   obs::ResetThreadStats();
+  PhaseTimings timings;
   std::vector<double> x(1 << 16, 1.0), y(1 << 16, 0.0);
   {
-    obs::ThreadPhaseContext ctx("TestPhase");
+    obs::Phase phase(timings, "TestPhase");
     Axpy(0.5, x, y);  // instrumented kernel
   }
   const auto stats = obs::SnapshotThreadStats();
@@ -194,11 +197,12 @@ TEST(ThreadStats, RecordsNothingWithoutContext) {
 
 TEST(ThreadStats, ContextsNest) {
   obs::ResetThreadStats();
+  PhaseTimings timings;
   std::vector<double> x(1 << 12, 1.0), y(1 << 12, 0.0);
   {
-    obs::ThreadPhaseContext outer("Outer");
+    obs::Phase outer(timings, "Outer");
     {
-      obs::ThreadPhaseContext inner("Inner");
+      obs::Phase inner(timings, "Inner");
       Axpy(1.0, x, y);
     }
     Axpy(1.0, x, y);
@@ -208,6 +212,86 @@ TEST(ThreadStats, ContextsNest) {
   EXPECT_EQ(stats[0].phase, "Inner");
   EXPECT_EQ(stats[1].phase, "Outer");
   obs::ResetThreadStats();
+}
+
+// ---------------------------------------------------------------------------
+// obs::Phase and the trace
+// ---------------------------------------------------------------------------
+
+/// Trace events of the active context, by name.
+std::map<std::string, std::vector<double>> TraceDurationsUs() {
+  std::map<std::string, std::vector<double>> out;
+  const JsonValue doc = Parse(obs::Tracer::ToJson());
+  for (const auto& e : doc.At("traceEvents").array) {
+    out[e.At("name").string].push_back(e.At("dur").number);
+  }
+  return out;
+}
+
+TEST(ObsPhase, TraceEventNameEqualsPhaseName) {
+  obs::Tracer::Clear();
+  obs::Tracer::SetEnabled(true);
+  if (!obs::Tracer::Enabled()) GTEST_SKIP() << "tracing compiled out";
+  PhaseTimings timings;
+  {
+    obs::Phase phase(timings, "ObsPhaseTraced");
+  }
+  obs::Tracer::SetEnabled(false);
+  const auto events = TraceDurationsUs();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events.begin()->first, "ObsPhaseTraced");
+  EXPECT_EQ(events.begin()->second.size(), 1u);
+  obs::Tracer::Clear();
+}
+
+TEST(ObsPhase, TraceKeepsElapsedWhileTimingsKeepSelfTime) {
+  obs::Tracer::Clear();
+  obs::Tracer::SetEnabled(true);
+  if (!obs::Tracer::Enabled()) GTEST_SKIP() << "tracing compiled out";
+  PhaseTimings timings;
+  std::vector<double> x(1 << 16, 1.0), y(1 << 16, 0.0);
+  {
+    obs::Phase outer(timings, "ObsPhaseOuter");
+    Axpy(0.5, x, y);
+    obs::Phase inner(timings, "ObsPhaseInner");
+    Axpy(0.5, x, y);
+  }
+  obs::Tracer::SetEnabled(false);
+  auto events = TraceDurationsUs();
+  ASSERT_EQ(events["ObsPhaseOuter"].size(), 1u);
+  ASSERT_EQ(events["ObsPhaseInner"].size(), 1u);
+  const double outer_s = events["ObsPhaseOuter"][0] * 1e-6;
+  const double inner_s = events["ObsPhaseInner"][0] * 1e-6;
+  // The outer event spans the inner one; the self times partition it.
+  EXPECT_NEAR(timings.Get("ObsPhaseInner"), inner_s, 1e-9);
+  EXPECT_NEAR(timings.Get("ObsPhaseOuter") + timings.Get("ObsPhaseInner"),
+              outer_s, 1e-9);
+  obs::Tracer::Clear();
+}
+
+TEST(ObsPhase, ConcurrentContextsNestIndependently) {
+  // The open-phase chain lives in each run context: phases opened on two
+  // threads with their own contexts never see each other as parents.
+  const auto run = [](util::RunContext& ctx, PhaseTimings& timings,
+                      const char* outer_name, const char* inner_name) {
+    util::ScopedRunContext scope(ctx);
+    std::vector<double> x(1 << 16, 1.0), y(1 << 16, 0.0);
+    for (int i = 0; i < 50; ++i) {
+      obs::Phase outer(timings, outer_name);
+      obs::Phase inner(timings, inner_name);
+      Axpy(0.5, x, y);
+    }
+  };
+  util::RunContext a_ctx, b_ctx;
+  PhaseTimings a, b;
+  std::thread a_thread([&] { run(a_ctx, a, "A", "A:Inner"); });
+  std::thread b_thread([&] { run(b_ctx, b, "B", "B:Inner"); });
+  a_thread.join();
+  b_thread.join();
+  EXPECT_EQ(a.Names(), (std::vector<std::string>{"A:Inner", "A"}));
+  EXPECT_EQ(b.Names(), (std::vector<std::string>{"B:Inner", "B"}));
+  EXPECT_EQ(a_ctx.thread_stats().CurrentPhase(), nullptr);
+  EXPECT_EQ(b_ctx.thread_stats().CurrentPhase(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -417,10 +501,17 @@ TEST_F(ObsCliTest, LayoutEmitsReportTraceAndHonorsThreads) {
   ASSERT_TRUE(report.At("series").Has("bfs.frontier_sizes"));
   EXPECT_FALSE(report.At("series").At("bfs.frontier_sizes").array.empty());
 
-  // Per-thread stats must cover the three paper phases.
+  // Per-thread stats must cover the three paper phases. A row exists
+  // because regions ran under the phase, or because a serial phase (the
+  // Components label pass) raised peak RSS; it is never empty.
   std::vector<std::string> thread_phases;
   for (const auto& t : report.At("thread_phases").array) {
     thread_phases.push_back(t.At("phase").string);
+    if (t.At("regions").number == 0.0) {
+      EXPECT_EQ(t.At("threads").number, 0.0);
+      EXPECT_GT(t.At("rss_delta_bytes").number, 0.0);
+      continue;
+    }
     EXPECT_GE(t.At("threads").number, 1.0);
     EXPECT_LE(t.At("min_seconds").number, t.At("max_seconds").number);
     EXPECT_GE(t.At("imbalance").number, 1.0);
@@ -466,12 +557,64 @@ TEST_F(ObsCliTest, ReportWorksForEveryDriver) {
   for (const std::string algo :
        {"parhde", "phde", "pivotmds", "prior", "multilevel"}) {
     ASSERT_EQ(Run("layout --in=" + Path("g.mtx") + " --algo=" + algo +
-                  " --s=6 --report=" + Path("r.json")),
+                  " --s=6 --report=" + Path("r.json") +
+                  " --trace=" + Path("t.json")),
               0)
         << algo << "\n" << Log();
     const JsonValue report = Parse(Slurp("r.json"));
     EXPECT_EQ(report.At("algo").string, algo);
     EXPECT_FALSE(report.At("phases").array.empty()) << algo;
+
+    // One primitive feeds the phase table and the trace, so every phase
+    // in the report has a trace event of the same name.
+    if (!report.At("environment").At("tracing_compiled").boolean) continue;
+    const JsonValue trace = Parse(Slurp("t.json"));
+    std::vector<std::string> events;
+    for (const auto& e : trace.At("traceEvents").array) {
+      events.push_back(e.At("name").string);
+    }
+    for (const auto& p : report.At("phases").array) {
+      const std::string& name = p.At("name").string;
+      EXPECT_NE(std::find(events.begin(), events.end(), name), events.end())
+          << algo << ": phase " << name << " has no trace event";
+    }
+  }
+}
+
+TEST_F(ObsCliTest, ReportBooksUnattributedSeconds) {
+  // Structural only, no timing threshold: the remainder is reported, is
+  // never negative (phase self times do not overlap and all run inside the
+  // timed span), and closes the budget exactly. Kronecker inputs are
+  // disconnected, so the pack run books the Components phase too.
+  ASSERT_EQ(Run("generate --family=kron --scale=9 --ef=4 --out=" +
+                Path("k.mtx")),
+            0)
+      << Log();
+  for (const std::string algo :
+       {"parhde", "phde", "pivotmds", "prior", "multilevel"}) {
+    for (const std::string policy : {"largest", "pack"}) {
+      ASSERT_EQ(Run("layout --in=" + Path("k.mtx") + " --algo=" + algo +
+                    " --s=6 --disconnected=" + policy +
+                    " --report=" + Path("r.json")),
+                0)
+          << algo << " " << policy << "\n" << Log();
+      const JsonValue report = Parse(Slurp("r.json"));
+      ASSERT_TRUE(report.Has("unattributed_seconds")) << algo;
+      double phases = 0.0;
+      std::vector<std::string> names;
+      for (const auto& p : report.At("phases").array) {
+        phases += p.At("seconds").number;
+        names.push_back(p.At("name").string);
+      }
+      const double total = report.At("total_seconds").number;
+      const double unattributed = report.At("unattributed_seconds").number;
+      EXPECT_GE(unattributed, 0.0) << algo << " " << policy;
+      EXPECT_LE(phases, total) << algo << " " << policy;
+      EXPECT_NEAR(unattributed, total - phases, 1e-9) << algo << " " << policy;
+      EXPECT_NE(std::find(names.begin(), names.end(), "Components"),
+                names.end())
+          << algo << " " << policy;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "hde/parhde.hpp"
+#include "hde/pivot_mds.hpp"
 #include "obs/counters.hpp"
 #include "util/prng.hpp"
 #include "util/run_context.hpp"
@@ -247,13 +248,22 @@ TEST(ParallelFor, NestedCallRunsSerially) {
 
 TEST(ParHdeThreadDeterminism, BitwiseIdenticalLayoutsAt124Threads) {
   // Large enough that every kernel splits into several blocks and runs on
-  // a real team: a 150x150 grid for k-centers pivots (parallel BFS) and a
-  // low-diameter random graph for random pivots (64-lane multi-source BFS).
+  // a real team: a 150x150 grid for k-centers pivots (parallel BFS), a
+  // low-diameter random graph for random pivots (64-lane multi-source BFS)
+  // and a weighted grid for PivotMDS on Δ-stepping distances.
   const CsrGraph grid = BuildCsrGraph(22500, GenGrid2d(150, 150));
   const CsrGraph urand =
       LargestComponent(
           BuildCsrGraph(20000, GenUniformRandom(20000, 100000, 5)))
           .graph;
+  // PivotMDS on a weighted grid (Δ-stepping distances): its double
+  // centering sums squared non-integral distances, which only fold
+  // identically across thread counts through ParallelReduce.
+  EdgeList weighted_edges = GenGrid2d(150, 150);
+  AssignRandomWeights(weighted_edges, 0.5, 2.0, 7);
+  BuildOptions keep_weights;
+  keep_weights.keep_weights = true;
+  const CsrGraph weighted = BuildCsrGraph(22500, weighted_edges, keep_weights);
   HdeOptions kcenters;
   kcenters.subspace_dim = 10;
   kcenters.seed = 3;
@@ -261,12 +271,20 @@ TEST(ParHdeThreadDeterminism, BitwiseIdenticalLayoutsAt124Threads) {
   random.pivots = PivotStrategy::Random;
   random.kernel = DistanceKernel::MultiSourceBfs;
   random.subspace_dim = 20;
-  const std::pair<const CsrGraph*, HdeOptions> cases[] = {{&grid, kcenters},
-                                                           {&urand, random}};
-  for (const auto& [graph, options] : cases) {
+  HdeOptions sssp = kcenters;
+  sssp.kernel = DistanceKernel::DeltaStepping;
+  struct Case {
+    const CsrGraph* graph;
+    HdeOptions options;
+    HdeResult (*driver)(const CsrGraph&, const HdeOptions&);
+  };
+  const Case cases[] = {{&grid, kcenters, &RunParHde},
+                        {&urand, random, &RunParHde},
+                        {&weighted, sssp, &RunPivotMds}};
+  for (const auto& [graph, options, driver] : cases) {
     const auto layout_at = [&](int threads) {
       ThreadCountGuard guard(threads);
-      return RunParHde(*graph, options).layout;
+      return driver(*graph, options).layout;
     };
     const auto bits = [](const std::vector<double>& axis) {
       std::vector<std::uint64_t> out(axis.size());

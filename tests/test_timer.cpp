@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "obs/phase.hpp"
+#include "obs/thread_stats.hpp"
+#include "util/memory.hpp"
+#include "util/run_context.hpp"
+
 namespace parhde {
 namespace {
 
@@ -90,8 +99,8 @@ TEST(PhaseTimings, ClearThenReuseStartsFresh) {
 }
 
 TEST(PhaseTimings, NegativeAdjustmentsReattributeTime) {
-  // The coupled BFS path books the pivot-selection tail as BFS:Other and
-  // subtracts it from BFS; totals must stay consistent under that pattern.
+  // Add is a plain signed sum: moving time from one phase to another keeps
+  // every phase and the total consistent.
   PhaseTimings t;
   t.Add("BFS", 2.0);
   t.Add("BFS:Other", 0.5);
@@ -101,14 +110,97 @@ TEST(PhaseTimings, NegativeAdjustmentsReattributeTime) {
   EXPECT_DOUBLE_EQ(t.Total(), 2.0);
 }
 
-TEST(ScopedPhase, RecordsOnDestruction) {
+/// Busy-waits for `seconds` of wall time.
+void Spin(double seconds) {
+  const WallTimer timer;
+  while (timer.Seconds() < seconds) {
+  }
+}
+
+const char* CurrentPhase() {
+  return util::CurrentRunContext()->thread_stats().CurrentPhase();
+}
+
+TEST(ObsPhase, RecordsOnDestruction) {
   PhaseTimings t;
   {
-    ScopedPhase scoped(t, "scope");
+    obs::Phase scoped(t, "scope");
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(t.Get("scope"), 0.0);
+}
+
+TEST(ObsPhase, NestedPhasesBookSelfTime) {
+  PhaseTimings t;
+  const WallTimer wall;
+  {
+    obs::Phase outer(t, "Outer");
+    Spin(2e-3);
+    {
+      obs::Phase inner(t, "Inner");
+      Spin(5e-3);
+    }
+    Spin(2e-3);
+  }
+  const double elapsed = wall.Seconds();
+  const double outer = t.Get("Outer");
+  const double inner = t.Get("Inner");
+  EXPECT_GE(inner, 5e-3);
+  EXPECT_GE(outer, 4e-3);
+  // Each second is booked once: the self times add up to the outer scope's
+  // elapsed time, which lies inside the wall-clock window around it, and
+  // the outer phase alone books less than that by the nested phase.
+  EXPECT_GE(outer + inner, 9e-3);
+  EXPECT_LE(outer + inner, elapsed);
+  EXPECT_LE(outer, elapsed - inner);
+  EXPECT_DOUBLE_EQ(t.Total(), outer + inner);
+}
+
+TEST(ObsPhase, NestingSpansSinks) {
+  // The self-time rule follows the run context, not the sink: a phase
+  // booked into another PhaseTimings still leaves its parent.
+  PhaseTimings parent_sink;
+  PhaseTimings child_sink;
+  {
+    obs::Phase outer(parent_sink, "Outer");
+    obs::Phase inner(child_sink, "Inner");
+    Spin(5e-3);
+  }
+  EXPECT_GE(child_sink.Get("Inner"), 5e-3);
+  EXPECT_LT(parent_sink.Get("Outer"), child_sink.Get("Inner"));
+}
+
+TEST(ObsPhase, RestoresAttributionAndChargesRssWhenAnExceptionLeaves) {
+  obs::ResetThreadStats();
+  PhaseTimings t;
+  const std::int64_t before = PeakRssBytes();
+  {
+    obs::Phase outer(t, "ObsPhaseOuter");
+    EXPECT_STREQ(CurrentPhase(), "ObsPhaseOuter");
+    try {
+      obs::Phase inner(t, "ObsPhaseInner");
+      EXPECT_STREQ(CurrentPhase(), "ObsPhaseInner");
+      // Touch a fresh 32 MiB block; if this raises the process high-water
+      // mark, the growth is charged to the phase the exception leaves.
+      std::vector<char> block(32u << 20, 1);
+      volatile char sink = block[block.size() - 1];
+      (void)sink;
+      throw std::runtime_error("leave the phase");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_STREQ(CurrentPhase(), "ObsPhaseOuter");
+  }
+  EXPECT_EQ(CurrentPhase(), nullptr);
+  EXPECT_GT(t.Get("ObsPhaseInner"), 0.0);
+  EXPECT_GT(t.Get("ObsPhaseOuter"), 0.0);
+  if (PeakRssBytes() > before) {
+    const auto stats = obs::SnapshotThreadStats();
+    ASSERT_FALSE(stats.empty());
+    EXPECT_EQ(stats[0].phase, "ObsPhaseInner");
+    EXPECT_GT(stats[0].rss_delta_bytes, 0);
+  }
+  obs::ResetThreadStats();
 }
 
 }  // namespace
