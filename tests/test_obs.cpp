@@ -284,12 +284,18 @@ TEST(ObsPhase, ConcurrentContextsNestIndependently) {
   };
   util::RunContext a_ctx, b_ctx;
   PhaseTimings a, b;
+  const WallTimer wall;
   std::thread a_thread([&] { run(a_ctx, a, "A", "A:Inner"); });
   std::thread b_thread([&] { run(b_ctx, b, "B", "B:Inner"); });
   a_thread.join();
   b_thread.join();
+  const double elapsed = wall.Seconds();
   EXPECT_EQ(a.Names(), (std::vector<std::string>{"A:Inner", "A"}));
   EXPECT_EQ(b.Names(), (std::vector<std::string>{"B:Inner", "B"}));
+  // A child charged to the wrong parent would leave that parent a
+  // negative (wrapped) self time: every self time fits in the wall time.
+  EXPECT_LE(a.Total(), elapsed);
+  EXPECT_LE(b.Total(), elapsed);
   EXPECT_EQ(a_ctx.thread_stats().CurrentPhase(), nullptr);
   EXPECT_EQ(b_ctx.thread_stats().CurrentPhase(), nullptr);
 }
