@@ -36,13 +36,15 @@ std::int64_t Bitmap::Count() const {
       std::plus<>());
 }
 
-FrontierQueue::FrontierQueue(vid_t capacity) {
-  current_.reserve(static_cast<std::size_t>(capacity));
-  next_.resize(static_cast<std::size_t>(capacity));
-}
+FrontierQueue::FrontierQueue(vid_t capacity)
+    : current_(std::make_unique_for_overwrite<vid_t[]>(
+          static_cast<std::size_t>(capacity))),
+      next_(std::make_unique_for_overwrite<vid_t[]>(
+          static_cast<std::size_t>(capacity))) {}
 
 void FrontierQueue::InitWith(vid_t v) {
-  current_.assign(1, v);
+  current_[0] = v;
+  current_size_ = 1;
   next_size_.store(0, std::memory_order_relaxed);
 }
 
@@ -50,31 +52,27 @@ void FrontierQueue::Flush(std::span<const vid_t> staged) {
   if (staged.empty()) return;
   const std::size_t at =
       next_size_.fetch_add(staged.size(), std::memory_order_relaxed);
-  std::copy(staged.begin(), staged.end(),
-            next_.begin() + static_cast<std::ptrdiff_t>(at));
+  std::copy(staged.begin(), staged.end(), next_.get() + at);
 }
 
 void FrontierQueue::Advance() {
-  const std::size_t size = next_size_.exchange(0, std::memory_order_relaxed);
-  current_.assign(next_.begin(), next_.begin() + static_cast<std::ptrdiff_t>(size));
+  current_.swap(next_);
+  current_size_ = next_size_.exchange(0, std::memory_order_relaxed);
 }
 
 void FrontierQueue::LoadFromBitmap(const Bitmap& bitmap) {
-  current_.clear();
-  for (vid_t v = 0; v < bitmap.Size(); ++v) {
-    if (bitmap.Get(v)) current_.push_back(v);
-  }
+  current_size_ = 0;
+  bitmap.ForEachSet([&](vid_t v) { current_[current_size_++] = v; });
   next_size_.store(0, std::memory_order_relaxed);
 }
 
 void FrontierQueue::StoreToBitmap(Bitmap& bitmap) const {
   bitmap.Reset();
-  ParallelFor(static_cast<std::int64_t>(current_.size()), kStreamGrain,
-              [&](std::int64_t lo, std::int64_t hi) {
-                for (std::int64_t i = lo; i < hi; ++i) {
-                  bitmap.Set(current_[static_cast<std::size_t>(i)]);
-                }
-              });
+  ParallelFor(Size(), kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      bitmap.Set(current_[static_cast<std::size_t>(i)]);
+    }
+  });
 }
 
 }  // namespace parhde

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,6 +38,19 @@ class Bitmap {
     return (words_[Word(v)].load(std::memory_order_relaxed) & Mask(v)) != 0;
   }
 
+  /// Calls fn(v) for every set bit in ascending order, skipping empty
+  /// words (serial).
+  template <class Fn>
+  void ForEachSet(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w].load(std::memory_order_relaxed);
+           bits != 0; bits &= bits - 1) {
+        fn(static_cast<vid_t>(w * 64 + static_cast<std::size_t>(
+                                           __builtin_ctzll(bits))));
+      }
+    }
+  }
+
   /// Population count (parallel reduction).
   [[nodiscard]] std::int64_t Count() const;
 
@@ -55,19 +69,25 @@ class Bitmap {
   std::vector<std::atomic<std::uint64_t>> words_;
 };
 
-/// Growable frontier queue with block-local staging buffers: each block of a
-/// parallel step appends to a private FrontierStage and flushes in bulk,
+/// Frontier queue over two capacity-sized buffers, the current frontier and
+/// the next one, which Advance swaps. Each block of a parallel step appends
+/// to the next frontier through a private FrontierStage and flushes in bulk,
 /// avoiding a shared atomic cursor on every push (GAP's SlidingQueue idea).
+/// Neither buffer is zero-filled: a search touches only the pages its
+/// frontiers reach, so a high-diameter search on a large graph stays cheap
+/// to set up.
 class FrontierQueue {
  public:
   explicit FrontierQueue(vid_t capacity);
 
   /// Current frontier contents.
-  [[nodiscard]] const std::vector<vid_t>& Vertices() const { return current_; }
-  [[nodiscard]] std::int64_t Size() const {
-    return static_cast<std::int64_t>(current_.size());
+  [[nodiscard]] std::span<const vid_t> Vertices() const {
+    return {current_.get(), current_size_};
   }
-  [[nodiscard]] bool Empty() const { return current_.empty(); }
+  [[nodiscard]] std::int64_t Size() const {
+    return static_cast<std::int64_t>(current_size_);
+  }
+  [[nodiscard]] bool Empty() const { return current_size_ == 0; }
 
   /// Replaces the frontier with a single seed vertex.
   void InitWith(vid_t v);
@@ -81,7 +101,8 @@ class FrontierQueue {
     staged.clear();
   }
 
-  /// Makes the accumulated next frontier current and clears staging.
+  /// Makes the accumulated next frontier current (a buffer swap) and
+  /// starts an empty next frontier.
   void Advance();
 
   /// Rebuilds the current frontier from a bitmap (bottom-up -> top-down
@@ -92,8 +113,9 @@ class FrontierQueue {
   void StoreToBitmap(Bitmap& bitmap) const;
 
  private:
-  std::vector<vid_t> current_;
-  std::vector<vid_t> next_;
+  std::unique_ptr<vid_t[]> current_;
+  std::unique_ptr<vid_t[]> next_;
+  std::size_t current_size_ = 0;
   std::atomic<std::size_t> next_size_{0};
 };
 

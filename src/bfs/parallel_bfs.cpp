@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cassert>
 #include <functional>
+#include <optional>
 
 #include "bfs/frontier.hpp"
 #include "obs/counters.hpp"
@@ -14,105 +15,117 @@
 namespace parhde {
 namespace {
 
-/// Frontier vertices per block of a top-down step: a frontier of a few
-/// hundred vertices with long adjacency lists is already worth a team.
+/// Frontier vertices per block of a parallel top-down step: a frontier of a
+/// few hundred vertices with long adjacency lists is already worth a team.
 constexpr std::int64_t kTopDownGrain = 64;
+
+/// A top-down level whose frontier has at most this many out-arcs runs as
+/// one serial queue step: no team and no atomics. Below it a fork/join and
+/// a CAS per arc cost more than the level (EXPERIMENTS.md, "BFS engine on
+/// high- and low-diameter graphs", has the sweep that picked it).
+constexpr std::int64_t kSerialStepArcs = 4096;
 
 /// Vertices per block of a bottom-up step.
 constexpr std::int64_t kBottomUpGrain = 1024;
 
-/// Top-down step: expand the frontier queue, claiming vertices via CAS on
-/// the parent array. The claiming thread alone writes dist[u], so distances
-/// need no atomics (the paper's modification of GAP).
-/// Returns the number of arcs examined.
-std::int64_t TopDownStep(const CsrGraph& graph, FrontierQueue& frontier,
-                         std::vector<std::atomic<vid_t>>& parent,
-                         std::vector<dist_t>& dist, dist_t next_level) {
-  const auto& current = frontier.Vertices();
-  const std::int64_t examined = ParallelReduce(
-      frontier.Size(), kTopDownGrain, std::int64_t{0},
-      [&](std::int64_t lo, std::int64_t hi) {
-        FrontierStage staged(frontier);
-        std::int64_t arcs = 0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const vid_t v = current[static_cast<std::size_t>(i)];
-          for (const vid_t u : graph.Neighbors(v)) {
-            ++arcs;
-            auto& pu = parent[static_cast<std::size_t>(u)];
-            vid_t expected = kInvalidVid;
-            if (pu.load(std::memory_order_relaxed) == kInvalidVid &&
-                pu.compare_exchange_strong(expected, v,
+/// Claims the unvisited neighbors of frontier vertices [lo, hi) for
+/// `next_level`, stages them on the next frontier and returns their summed
+/// out-degree (the next level's m_f). Blocks that run concurrently claim by
+/// CAS on dist (kAtomic); a serial step claims with plain loads and stores.
+/// Either way the claiming thread is the only writer of dist[u].
+template <bool kAtomic>
+std::int64_t ExpandTopDown(const CsrGraph& graph, FrontierQueue& frontier,
+                           std::vector<dist_t>& dist, dist_t next_level,
+                           std::int64_t lo, std::int64_t hi) {
+  const auto current = frontier.Vertices();
+  FrontierStage staged(frontier);
+  std::int64_t next_arcs = 0;
+  for (std::int64_t i = lo; i < hi; ++i) {
+    for (const vid_t u : graph.Neighbors(current[static_cast<std::size_t>(i)])) {
+      dist_t& du = dist[static_cast<std::size_t>(u)];
+      if constexpr (kAtomic) {
+        std::atomic_ref<dist_t> claim(du);
+        dist_t expected = kInfDist;
+        if (claim.load(std::memory_order_relaxed) != kInfDist ||
+            !claim.compare_exchange_strong(expected, next_level,
                                            std::memory_order_relaxed)) {
-              dist[static_cast<std::size_t>(u)] = next_level;
-              staged.Push(u);
-            }
-          }
+          continue;
         }
-        return arcs;
-      },
-      std::plus<>());
-  frontier.Advance();
-  return examined;
+      } else {
+        if (du != kInfDist) continue;
+        du = next_level;
+      }
+      staged.Push(u);
+      next_arcs += graph.Degree(u);
+    }
+  }
+  return next_arcs;
 }
 
-/// Arcs examined and vertices reached by one bottom-up step.
+/// Top-down step: expands the frontier queue and advances it. A serial step
+/// is the same reduction over a single block, which ParallelReduce runs on
+/// the calling thread (so per-thread phase stats still see it). Returns the
+/// next frontier's out-degree sum.
+std::int64_t TopDownStep(const CsrGraph& graph, FrontierQueue& frontier,
+                         std::vector<dist_t>& dist, dist_t next_level,
+                         bool serial) {
+  const std::int64_t size = frontier.Size();
+  const std::int64_t next_arcs =
+      serial ? ParallelReduce(
+                   size, size, std::int64_t{0},
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     return ExpandTopDown<false>(graph, frontier, dist,
+                                                 next_level, lo, hi);
+                   },
+                   std::plus<>())
+             : ParallelReduce(
+                   size, kTopDownGrain, std::int64_t{0},
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     return ExpandTopDown<true>(graph, frontier, dist,
+                                                next_level, lo, hi);
+                   },
+                   std::plus<>());
+  frontier.Advance();
+  return next_arcs;
+}
+
+/// Arcs examined, vertices reached and the reached vertices' out-degree sum
+/// of one bottom-up step.
 struct BottomUpCounts {
   std::int64_t examined = 0;
   std::int64_t awake = 0;
+  std::int64_t next_arcs = 0;
 };
 
-/// Bottom-up step: every unvisited vertex scans its adjacency for a parent
-/// in the current frontier bitmap. Each u has exactly one writer, so parent
-/// and dist writes are unsynchronized. Returns arcs examined; sets
-/// `next` bits for newly reached vertices.
-std::int64_t BottomUpStep(const CsrGraph& graph, const Bitmap& front,
-                          Bitmap& next,
-                          std::vector<std::atomic<vid_t>>& parent,
-                          std::vector<dist_t>& dist, dist_t next_level,
-                          std::int64_t& awake_count) {
-  const BottomUpCounts counts = ParallelReduce(
+/// Bottom-up step: every unvisited vertex scans its adjacency for a
+/// neighbor in the current frontier bitmap. Each u has exactly one writer,
+/// so dist writes are unsynchronized; `next` gets the newly reached bits.
+BottomUpCounts BottomUpStep(const CsrGraph& graph, const Bitmap& front,
+                            Bitmap& next, std::vector<dist_t>& dist,
+                            dist_t next_level) {
+  return ParallelReduce(
       graph.NumVertices(), kBottomUpGrain, BottomUpCounts{},
       [&](std::int64_t lo, std::int64_t hi) {
         BottomUpCounts local;
         for (auto u = static_cast<vid_t>(lo); u < hi; ++u) {
-          auto& pu = parent[static_cast<std::size_t>(u)];
-          if (pu.load(std::memory_order_relaxed) != kInvalidVid) continue;
-          if (dist[static_cast<std::size_t>(u)] != kInfDist) continue;  // source
+          if (dist[static_cast<std::size_t>(u)] != kInfDist) continue;
           for (const vid_t v : graph.Neighbors(u)) {
             ++local.examined;
             if (front.Get(v)) {
-              pu.store(v, std::memory_order_relaxed);
               dist[static_cast<std::size_t>(u)] = next_level;
               next.SetUnsynced(u);
               ++local.awake;
-              break;  // early exit: one parent suffices
+              local.next_arcs += graph.Degree(u);
+              break;  // early exit: one frontier neighbor suffices
             }
           }
         }
         return local;
       },
       [](BottomUpCounts a, BottomUpCounts b) {
-        return BottomUpCounts{a.examined + b.examined, a.awake + b.awake};
+        return BottomUpCounts{a.examined + b.examined, a.awake + b.awake,
+                              a.next_arcs + b.next_arcs};
       });
-  awake_count = counts.awake;
-  return counts.examined;
-}
-
-/// Sum of out-degrees of the queue frontier, the m_f term of the
-/// direction-optimizing heuristic.
-std::int64_t FrontierOutEdges(const CsrGraph& graph,
-                              const FrontierQueue& frontier) {
-  const auto& current = frontier.Vertices();
-  return ParallelReduce(
-      frontier.Size(), kStreamGrain, std::int64_t{0},
-      [&](std::int64_t lo, std::int64_t hi) {
-        std::int64_t edges = 0;
-        for (std::int64_t i = lo; i < hi; ++i) {
-          edges += graph.Degree(current[static_cast<std::size_t>(i)]);
-        }
-        return edges;
-      },
-      std::plus<>());
 }
 
 }  // namespace
@@ -125,29 +138,28 @@ BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
 
   BfsResult result;
   result.dist.assign(static_cast<std::size_t>(n), kInfDist);
-  std::vector<std::atomic<vid_t>> parent(static_cast<std::size_t>(n));
-  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t v = lo; v < hi; ++v) {
-      parent[static_cast<std::size_t>(v)].store(kInvalidVid,
-                                                std::memory_order_relaxed);
-    }
-  });
-
+  result.dist[static_cast<std::size_t>(source)] = 0;
   FrontierQueue frontier(n);
   frontier.InitWith(source);
-  result.dist[static_cast<std::size_t>(source)] = 0;
-  // Claim the source up front (parent = itself, GAP-style) so neighbors
-  // cannot re-acquire it and overwrite dist[source].
-  parent[static_cast<std::size_t>(source)].store(source,
-                                                 std::memory_order_relaxed);
 
-  Bitmap front_bm(n);
-  Bitmap next_bm(n);
+  // The bitmaps exist only once a search first goes bottom-up.
+  std::optional<Bitmap> front_bm;
+  std::optional<Bitmap> next_bm;
+  bool bottom_up = false;
+  const auto go_bottom_up = [&] {
+    if (!front_bm) {
+      front_bm.emplace(n);
+      next_bm.emplace(n);
+    }
+    frontier.StoreToBitmap(*front_bm);
+    bottom_up = true;
+  };
+  if (options.mode == BfsOptions::Mode::BottomUpOnly) go_bottom_up();
 
-  // Track unexplored arcs for the alpha heuristic.
+  // m_f (the current frontier's out-arcs) comes out of the step that built
+  // the frontier; edges_remaining tracks unexplored arcs for alpha.
+  std::int64_t frontier_arcs = graph.Degree(source);
   std::int64_t edges_remaining = graph.NumArcs();
-  bool bottom_up = options.mode == BfsOptions::Mode::BottomUpOnly;
-  if (bottom_up) frontier.StoreToBitmap(front_bm);
   std::int64_t frontier_size = 1;
   std::int64_t frontier_total = 0;
   std::int64_t direction_switches = 0;
@@ -162,45 +174,42 @@ BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
     frontier_total += frontier_size;
     obs::SeriesAppend(obs::Series::kBfsFrontierSizes, frontier_size);
     const dist_t next_level = level + 1;
-    // Frontier out-edges (the m_f term) are needed by both the Auto-mode
-    // direction heuristic and the edges_remaining bookkeeping of a
-    // top-down step; scan the frontier once per level and share the value.
-    std::int64_t frontier_edges = -1;
-    if (!bottom_up && options.mode == BfsOptions::Mode::Auto) {
-      frontier_edges = FrontierOutEdges(graph, frontier);
-      if (static_cast<double>(frontier_edges) >
-          static_cast<double>(edges_remaining) / options.alpha) {
-        frontier.StoreToBitmap(front_bm);
-        bottom_up = true;
-        ++direction_switches;
-      }
+    // The direction heuristic decides first; only a level that stays
+    // top-down may then run as a serial step.
+    if (!bottom_up && options.mode == BfsOptions::Mode::Auto &&
+        static_cast<double>(frontier_arcs) >
+            static_cast<double>(edges_remaining) / options.alpha) {
+      go_bottom_up();
+      ++direction_switches;
     }
 
     if (bottom_up) {
       PARHDE_TRACE_SPAN("bfs.bottom_up");
-      next_bm.Reset();
-      std::int64_t awake = 0;
-      result.stats.edges_examined += BottomUpStep(
-          graph, front_bm, next_bm, parent, result.dist, next_level, awake);
+      next_bm->Reset();
+      const BottomUpCounts counts =
+          BottomUpStep(graph, *front_bm, *next_bm, result.dist, next_level);
+      result.stats.edges_examined += counts.examined;
       ++result.stats.bottom_up_steps;
-      frontier_size = awake;
-      front_bm.Swap(next_bm);
+      frontier_size = counts.awake;
+      frontier_arcs = counts.next_arcs;
+      front_bm->Swap(*next_bm);
       if (options.mode == BfsOptions::Mode::Auto &&
           static_cast<double>(frontier_size) <
               static_cast<double>(n) / options.beta) {
-        frontier.LoadFromBitmap(front_bm);
+        frontier.LoadFromBitmap(*front_bm);
         bottom_up = false;
         ++direction_switches;
       }
     } else {
       PARHDE_TRACE_SPAN("bfs.top_down");
-      if (frontier_edges < 0) {  // TopDownOnly mode skips the heuristic
-        frontier_edges = FrontierOutEdges(graph, frontier);
-      }
-      edges_remaining -= frontier_edges;
-      result.stats.edges_examined +=
-          TopDownStep(graph, frontier, parent, result.dist, next_level);
+      const bool serial = frontier_arcs <= kSerialStepArcs;
+      // A top-down step examines every arc of its frontier.
+      result.stats.edges_examined += frontier_arcs;
+      edges_remaining -= frontier_arcs;
+      frontier_arcs =
+          TopDownStep(graph, frontier, result.dist, next_level, serial);
       ++result.stats.top_down_steps;
+      if (serial) ++result.stats.serial_steps;
       frontier_size = frontier.Size();
     }
 
@@ -208,19 +217,11 @@ BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
     level = next_level;
   }
 
-  result.parent.resize(static_cast<std::size_t>(n));
-  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t v = lo; v < hi; ++v) {
-      result.parent[static_cast<std::size_t>(v)] =
-          parent[static_cast<std::size_t>(v)].load(std::memory_order_relaxed);
-    }
-  });
-  result.parent[static_cast<std::size_t>(source)] = kInvalidVid;
-
   // Flush aggregate work counters once per search — never per edge.
   obs::CounterAdd(obs::Counter::kBfsSearches, 1);
   obs::CounterAdd(obs::Counter::kBfsLevels, result.stats.levels);
   obs::CounterAdd(obs::Counter::kBfsTopDownSteps, result.stats.top_down_steps);
+  obs::CounterAdd(obs::Counter::kBfsSerialSteps, result.stats.serial_steps);
   obs::CounterAdd(obs::Counter::kBfsBottomUpSteps,
                   result.stats.bottom_up_steps);
   obs::CounterAdd(obs::Counter::kBfsDirectionSwitches, direction_switches);

@@ -1,16 +1,24 @@
-// Parallel level-synchronous BFS kernels (§3.1).
+// Parallel level-synchronous BFS kernel (§3.1).
 //
 // The default is the direction-optimizing BFS of Beamer et al. as shipped in
-// the GAP Benchmark Suite, modified — exactly as the paper describes — to
-// record hop distances without extra atomics: a vertex's distance is written
-// only by the thread that claims it (compare-and-swap on the parent array in
-// top-down; single-writer semantics in bottom-up).
+// the GAP Benchmark Suite, modified as the paper describes to record hop
+// distances only. A vertex is claimed by the one write of its distance:
+// compare-and-swap on dist in a parallel top-down step, plain stores in a
+// serial one, single-writer ownership in bottom-up. No parent array exists.
 //
-// Pure top-down and pure bottom-up drivers are exposed for the ablation
+// The engine adapts per level. The alpha/beta heuristic first picks
+// top-down or bottom-up; a top-down level whose frontier has few out-arcs
+// then runs as a serial queue step with no team and no atomics, which is
+// what keeps high-diameter graphs (thousands of tiny levels) at serial-BFS
+// speed. Each step also sums the out-degrees of the frontier it builds, the
+// m_f term the heuristic reads next.
+//
+// Pure top-down and pure bottom-up modes are exposed for the ablation
 // benchmarks and tests.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/csr_graph.hpp"
 
@@ -30,16 +38,16 @@ struct BfsOptions {
 /// Counters for the traversal analysis in Fig. 5 (middle).
 struct BfsStats {
   std::int64_t levels = 0;
-  std::int64_t top_down_steps = 0;
+  std::int64_t top_down_steps = 0;  // serial steps included
+  std::int64_t serial_steps = 0;    // top-down steps run on one thread
   std::int64_t bottom_up_steps = 0;
   std::int64_t edges_examined = 0;  // arcs touched across all steps
 };
 
-/// Result of one BFS: distances (kInfDist if unreachable), parents
-/// (kInvalidVid for source and unreachable vertices), and step statistics.
+/// Result of one BFS: distances (kInfDist if unreachable) and step
+/// statistics.
 struct BfsResult {
   std::vector<dist_t> dist;
-  std::vector<vid_t> parent;
   BfsStats stats;
 };
 
@@ -47,7 +55,7 @@ struct BfsResult {
 BfsResult ParallelBfs(const CsrGraph& graph, vid_t source,
                       const BfsOptions& options = {});
 
-/// Distances only; avoids exposing parents when callers don't need them.
+/// Distances only, for callers that do not read the step statistics.
 std::vector<dist_t> ParallelBfsDistances(const CsrGraph& graph, vid_t source,
                                          const BfsOptions& options = {});
 

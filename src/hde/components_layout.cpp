@@ -26,6 +26,7 @@ ComponentStat StatFor(const CsrGraph& graph, const BoundingBox& box) {
 void MergeBfsStats(BfsStats& into, const BfsStats& other) {
   into.levels += other.levels;
   into.top_down_steps += other.top_down_steps;
+  into.serial_steps += other.serial_steps;
   into.bottom_up_steps += other.bottom_up_steps;
   into.edges_examined += other.edges_examined;
 }

@@ -46,6 +46,7 @@ std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
       if (stats) {
         stats->levels += result.stats.levels;
         stats->top_down_steps += result.stats.top_down_steps;
+        stats->serial_steps += result.stats.serial_steps;
         stats->bottom_up_steps += result.stats.bottom_up_steps;
         stats->edges_examined += result.stats.edges_examined;
       }

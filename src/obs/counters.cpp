@@ -34,6 +34,7 @@ const char* CounterName(Counter c) {
     case Counter::kBfsSearches: return "bfs.searches";
     case Counter::kBfsLevels: return "bfs.levels";
     case Counter::kBfsTopDownSteps: return "bfs.top_down_steps";
+    case Counter::kBfsSerialSteps: return "bfs.serial_steps";
     case Counter::kBfsBottomUpSteps: return "bfs.bottom_up_steps";
     case Counter::kBfsDirectionSwitches: return "bfs.direction_switches";
     case Counter::kBfsEdgesExamined: return "bfs.edges_examined";

@@ -39,7 +39,8 @@ namespace parhde::obs {
 enum class Counter : int {
   kBfsSearches = 0,       // direction-optimizing BFS runs
   kBfsLevels,             // level iterations summed over searches
-  kBfsTopDownSteps,       // push steps taken
+  kBfsTopDownSteps,       // push steps taken, serial ones included
+  kBfsSerialSteps,        // push steps small enough to run serially
   kBfsBottomUpSteps,      // pull steps taken
   kBfsDirectionSwitches,  // push<->pull transitions (both directions)
   kBfsEdgesExamined,      // arcs touched across all steps

@@ -7,6 +7,7 @@
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
@@ -117,6 +118,31 @@ TEST(Ldd, SingletonAndEmptyGraphs) {
   const LddResult one = LowDiameterDecomposition(BuildCsrGraph(1, {}));
   EXPECT_EQ(one.cluster[0], 0);
   EXPECT_EQ(one.centers.size(), 1u);
+}
+
+TEST(Ldd, ClustersIdenticalAt124Threads) {
+  // Both graphs span several blocks of every loop (shifts, activation
+  // rounds, claims, cut count), so 2 and 4 threads really split the work.
+  const CsrGraph grid = BuildCsrGraph(10000, GenGrid2d(100, 100));
+  const CsrGraph kron =
+      LargestComponent(BuildCsrGraph(1 << 13, GenKronecker(13, 8, 4))).graph;
+  for (const CsrGraph* g : {&grid, &kron}) {
+    LddOptions options;
+    options.seed = 17;
+    LddResult serial;
+    {
+      ThreadCountGuard guard(1);
+      serial = LowDiameterDecomposition(*g, options);
+    }
+    for (const int threads : {2, 4}) {
+      ThreadCountGuard guard(threads);
+      const LddResult ldd = LowDiameterDecomposition(*g, options);
+      EXPECT_EQ(ldd.cluster, serial.cluster) << threads << " threads";
+      EXPECT_EQ(ldd.centers, serial.centers) << threads << " threads";
+      EXPECT_EQ(ldd.rounds, serial.rounds) << threads << " threads";
+      EXPECT_EQ(ldd.cut_edges, serial.cut_edges) << threads << " threads";
+    }
+  }
 }
 
 class LddBetaSweep : public ::testing::TestWithParam<double> {};

@@ -49,21 +49,14 @@ TEST(ParallelBfs, DisconnectedMarksUnreachable) {
   EXPECT_EQ(result.dist[2], 2);
   EXPECT_EQ(result.dist[3], kInfDist);
   EXPECT_EQ(result.dist[4], kInfDist);
-  EXPECT_EQ(result.parent[4], kInvalidVid);
+  EXPECT_EQ(result.dist, SerialBfs(g, 0));
 }
 
-TEST(ParallelBfs, ParentsConsistentWithDistances) {
+TEST(ParallelBfs, DistancesMatchSerialOnKronecker) {
+  // The engine keeps no BFS tree, so exact distances are the whole result.
   const CsrGraph g =
       LargestComponent(BuildCsrGraph(1 << 10, GenKronecker(10, 6, 9))).graph;
-  const BfsResult result = ParallelBfs(g, 0);
-  for (vid_t v = 0; v < g.NumVertices(); ++v) {
-    if (v == 0) continue;
-    const vid_t p = result.parent[static_cast<std::size_t>(v)];
-    ASSERT_NE(p, kInvalidVid) << "vertex " << v;
-    EXPECT_TRUE(g.HasEdge(p, v));
-    EXPECT_EQ(result.dist[static_cast<std::size_t>(v)],
-              result.dist[static_cast<std::size_t>(p)] + 1);
-  }
+  EXPECT_EQ(ParallelBfs(g, 0).dist, SerialBfs(g, 0));
 }
 
 TEST(ParallelBfs, TopDownOnlyMatchesSerial) {
@@ -115,6 +108,50 @@ TEST(ParallelBfs, LevelsMatchEccentricity) {
   const CsrGraph g = BuildCsrGraph(100, GenGrid2d(10, 10));
   const BfsResult result = ParallelBfs(g, 0);
   EXPECT_EQ(result.stats.levels, Eccentricity(g, 0));
+}
+
+/// A chain of kLollipopChain vertices hung off a scale-12 Kronecker core:
+/// chain levels have one or two arcs, the core's widest levels thousands.
+constexpr vid_t kLollipopChain = 3000;
+
+CsrGraph Lollipop() {
+  const CsrGraph core =
+      LargestComponent(BuildCsrGraph(1 << 12, GenKronecker(12, 64, 2))).graph;
+  const vid_t nc = core.NumVertices();
+  EdgeList edges;
+  for (vid_t v = 0; v < nc; ++v) {
+    for (const vid_t u : core.Neighbors(v)) {
+      if (v < u) edges.push_back({v, u});
+    }
+  }
+  edges.push_back({0, nc});
+  for (vid_t i = 0; i + 1 < kLollipopChain; ++i) {
+    edges.push_back({nc + i, nc + i + 1});
+  }
+  return BuildCsrGraph(nc + kLollipopChain, edges);
+}
+
+TEST(ParallelBfs, AdaptiveStepsMatchSerial) {
+  // From the chain's far end: serial steps down the chain, a parallel
+  // top-down step on the core's first wide frontier, bottom-up through the
+  // core's middle, serial steps on its last few vertices. From inside the
+  // core: the same core schedule, then serial steps down the chain.
+  const CsrGraph g = Lollipop();
+  for (const vid_t source : {g.NumVertices() - 1, vid_t{1}}) {
+    const auto expected = SerialBfs(g, source);
+    for (const int threads : {1, 2, 4}) {
+      ThreadCountGuard guard(threads);
+      const BfsResult result = ParallelBfs(g, source);
+      const BfsStats& stats = result.stats;
+      SCOPED_TRACE(::testing::Message()
+                   << "source " << source << ", " << threads << " threads");
+      EXPECT_EQ(result.dist, expected);
+      EXPECT_GE(stats.serial_steps, kLollipopChain);
+      EXPECT_GT(stats.top_down_steps, stats.serial_steps);  // a parallel one
+      EXPECT_GT(stats.bottom_up_steps, 0);
+      EXPECT_EQ(stats.levels, stats.top_down_steps + stats.bottom_up_steps - 1);
+    }
+  }
 }
 
 class BfsThreadSweep : public ::testing::TestWithParam<int> {};
