@@ -70,21 +70,15 @@ std::int64_t TopDownStep(const CsrGraph& graph, FrontierQueue& frontier,
                          std::vector<dist_t>& dist, dist_t next_level,
                          bool serial) {
   const std::int64_t size = frontier.Size();
-  const std::int64_t next_arcs =
-      serial ? ParallelReduce(
-                   size, size, std::int64_t{0},
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     return ExpandTopDown<false>(graph, frontier, dist,
-                                                 next_level, lo, hi);
-                   },
-                   std::plus<>())
-             : ParallelReduce(
-                   size, kTopDownGrain, std::int64_t{0},
-                   [&](std::int64_t lo, std::int64_t hi) {
-                     return ExpandTopDown<true>(graph, frontier, dist,
-                                                next_level, lo, hi);
-                   },
-                   std::plus<>());
+  const std::int64_t next_arcs = ParallelReduce(
+      size, serial ? size : kTopDownGrain, std::int64_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        return serial ? ExpandTopDown<false>(graph, frontier, dist,
+                                             next_level, lo, hi)
+                      : ExpandTopDown<true>(graph, frontier, dist, next_level,
+                                            lo, hi);
+      },
+      std::plus<>());
   frontier.Advance();
   return next_arcs;
 }
