@@ -20,9 +20,10 @@ namespace {
 constexpr std::int64_t kTopDownGrain = 64;
 
 /// A top-down level whose frontier has at most this many out-arcs runs as
-/// one serial queue step: no team and no atomics. Below it a fork/join and
-/// a CAS per arc cost more than the level (EXPERIMENTS.md, "BFS engine on
-/// high- and low-diameter graphs", has the sweep that picked it).
+/// one serial queue step: no team and no atomics. 4096 keeps every level
+/// of a road-like graph serial, where a team loses at any thread count,
+/// and still gives the widest levels of a 1000² grid a team (EXPERIMENTS.md,
+/// "BFS engine on high- and low-diameter graphs", has the sweep).
 constexpr std::int64_t kSerialStepArcs = 4096;
 
 /// Vertices per block of a bottom-up step.

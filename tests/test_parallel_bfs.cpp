@@ -111,7 +111,7 @@ TEST(ParallelBfs, LevelsMatchEccentricity) {
 }
 
 /// A chain of kLollipopChain vertices hung off a scale-12 Kronecker core:
-/// chain levels have one or two arcs, the core's widest levels thousands.
+/// chain levels have one or two arcs, the core's widest level about 270K.
 constexpr vid_t kLollipopChain = 3000;
 
 CsrGraph Lollipop() {
@@ -135,7 +135,9 @@ TEST(ParallelBfs, AdaptiveStepsMatchSerial) {
   // From the chain's far end: serial steps down the chain, a parallel
   // top-down step on the core's first wide frontier, bottom-up through the
   // core's middle, serial steps on its last few vertices. From inside the
-  // core: the same core schedule, then serial steps down the chain.
+  // core: the same core schedule, then serial steps down the chain. The
+  // first wide frontiers (about 14.5K and 7.5K arcs) sit above the serial
+  // step limit and below alpha's switch point.
   const CsrGraph g = Lollipop();
   for (const vid_t source : {g.NumVertices() - 1, vid_t{1}}) {
     const auto expected = SerialBfs(g, source);
