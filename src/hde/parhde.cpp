@@ -10,11 +10,9 @@
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/laplacian_ops.hpp"
 #include "linalg/vector_ops.hpp"
-#include "obs/counters.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "resilience/recovery.hpp"
-#include "util/parallel.hpp"
 #include "util/status.hpp"
 
 namespace parhde {
@@ -87,7 +85,6 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
   options.subspace_dim =
       std::min<int>(options.subspace_dim, static_cast<int>(n) - 1);
   options.num_axes = std::max(1, options.num_axes);
-  const int s = options.subspace_dim;
 
   HdeResult result;
   const std::vector<double> metric = MetricVector(graph, options);
@@ -97,133 +94,41 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
   gs_opts.block_width =
       static_cast<std::size_t>(std::max(1, options.gs_block));
 
-  DenseMatrix B(static_cast<std::size_t>(n), static_cast<std::size_t>(s));
-  DenseMatrix S(static_cast<std::size_t>(n), static_cast<std::size_t>(s) + 1);
+  // ---- BFS phase: s traversals, interleaved with pivot selection. ----
+  const DenseMatrix B = RunDistancePhaseWithRecovery(graph, options, result);
+
+  // ---- DOrtho phase: build S = [s0 | b1 .. bs] and D-orthogonalize,
+  // under the GS downgrade ladder (blocked/classical -> pipelined MGS ->
+  // reference MGS). Each attempt rebuilds S from the retained B: a failed
+  // attempt leaves S scaled, compacted, or poisoned in place.
+  DenseMatrix S;
   GramSchmidtResult gs;
-
-  // The coupled schedule interleaves each traversal with its projection;
-  // it requires sequential (k-centers) pivots and an incremental
-  // orthogonalizer — MGS (§4.4) or blocked BCGS, which only ever projects
-  // against the accepted prefix. Any other configuration uses the decoupled
-  // two-phase pipeline — the results are identical, only timing attribution
-  // differs.
-  const bool coupled = options.coupled_bfs_ortho &&
-                       options.pivots == PivotStrategy::KCenters &&
-                       (options.gs_kind == GramSchmidtKind::Modified ||
-                        options.gs_kind == GramSchmidtKind::Blocked);
-
-  bool use_coupled = coupled;
-  std::string coupled_trigger;  // set when the coupled schedule fell back
-  if (use_coupled) {
-    WallTimer coupled_timer;
-    try {
-      // Hoist the weighted per-phase invariants once for all s searches
-      // (mirrors RunKCentersPhase; see sssp/delta_stepping.hpp).
-      weight_t sssp_maxw = -1.0;
-      if (options.kernel == DistanceKernel::DeltaStepping) {
-        if (options.sssp.delta <= 0.0) options.sssp.delta = DefaultDelta(graph);
-        sssp_maxw = MaxEdgeWeight(graph);
-      }
-      IncrementalDOrthogonalizer ortho(S, metric, gs_opts);
-      {
-        obs::Phase dortho(result.timings, phase::kDOrtho);
-        Fill(S.Col(0), 1.0 / std::sqrt(static_cast<double>(n)));
-        ortho.Push(0);
-      }
-      std::vector<dist_t> to_sources(static_cast<std::size_t>(n), kInfDist);
-      vid_t source = ResolveStartVertex(graph, options);
-      for (int i = 0; i < s; ++i) {
-        result.pivots.push_back(source);
-        bool saturated = false;
-        {
-          obs::Phase bfs(result.timings, phase::kBfs);
-          const std::vector<dist_t> hops =
-              RunSingleSearch(graph, source, options,
-                              B.Col(static_cast<std::size_t>(i)),
-                              &result.bfs_stats, sssp_maxw);
-          obs::Phase other(result.timings, phase::kBfsOther);
-          MinInto(to_sources, hops);
-          source = ArgmaxFiniteDistance(to_sources);
-          // Saturation: the farthest reachable vertex already is a pivot
-          // (min-distance 0). Push this column, then stop — the remaining
-          // iterations would only duplicate pivots and re-run identical
-          // searches. Finalize() compacts the un-pushed trailing columns
-          // away.
-          saturated = source == kInvalidVid ||
-                      to_sources[static_cast<std::size_t>(source)] == 0;
-        }
-        {
-          obs::Phase dortho(result.timings, phase::kDOrtho);
-          Copy(B.Col(static_cast<std::size_t>(i)),
-               S.Col(static_cast<std::size_t>(i) + 1));
-          ortho.Push(static_cast<std::size_t>(i) + 1);
-        }
-        if (saturated) break;
-      }
-      gs = ortho.Finalize();
-      // A rank collapse can only leak NaN/Inf through a division by a
-      // vanishing norm; surface it inside the try so the fallback absorbs
-      // it rather than corrupt coordinates three phases later.
-      CheckMatrixFinite(S, phase::kDOrtho, "orthogonalized subspace");
-    } catch (const ParhdeError& e) {
-      // The coupled schedule has no per-phase ladder of its own (its two
-      // phases interleave); its downgrade is the decoupled pipeline below,
-      // whose distance and DOrtho ladders then apply in full.
-      if (options.resilience.recovery != resilience::RecoveryPolicy::Ladder ||
-          !resilience::IsRetryable(e.code())) {
-        throw;
-      }
-      resilience::RecordRecoveryAttempt({"BFS+DOrtho", "coupled",
-                                         ErrorCodeName(e.code()),
-                                         coupled_timer.Seconds(), false});
-      if (resilience::DeadlinePoll()) throw;  // run budget already spent
-      obs::CounterAdd(obs::Counter::kRecoveryRetries, 1);
-      coupled_trigger = ErrorCodeName(e.code());
-      use_coupled = false;
-      result.pivots.clear();
-      result.bfs_stats = BfsStats{};
-      S = DenseMatrix(static_cast<std::size_t>(n),
-                      static_cast<std::size_t>(s) + 1);
-      gs = GramSchmidtResult{};
-    }
-  }
-
-  if (!use_coupled) {
-    WallTimer decoupled_timer;
-    // ---- BFS phase: s traversals, interleaved with pivot selection. ----
-    B = RunDistancePhaseWithRecovery(graph, options, result);
-
-    // ---- DOrtho phase: build S = [s0 | b1 .. bs] and D-orthogonalize,
-    // under the GS downgrade ladder (blocked/classical -> pipelined MGS ->
-    // reference MGS). Each attempt rebuilds S from the retained B: a failed
-    // attempt leaves S scaled, compacted, or poisoned in place.
+  {
     obs::Phase dortho(result.timings, phase::kDOrtho);
     std::vector<const char*> gs_rungs;
     std::vector<GramSchmidtOptions> gs_configs;
-    {
-      GramSchmidtOptions cfg = gs_opts;
-      switch (gs_opts.kind) {
-        case GramSchmidtKind::Blocked:
-          gs_rungs.push_back("bcgs");
-          gs_configs.push_back(cfg);
-          break;
-        case GramSchmidtKind::Classical:
-          gs_rungs.push_back("cgs");
-          gs_configs.push_back(cfg);
-          break;
-        case GramSchmidtKind::Modified:
-          break;
-      }
-      cfg.kind = GramSchmidtKind::Modified;
-      cfg.reference_mgs = false;
-      if (gs_opts.kind != GramSchmidtKind::Modified || !gs_opts.reference_mgs) {
-        gs_rungs.push_back("mgs");
+    GramSchmidtOptions cfg = gs_opts;
+    switch (gs_opts.kind) {
+      case GramSchmidtKind::Blocked:
+        gs_rungs.push_back("bcgs");
         gs_configs.push_back(cfg);
-      }
-      cfg.reference_mgs = true;
-      gs_rungs.push_back("mgs-reference");
+        break;
+      case GramSchmidtKind::Classical:
+        gs_rungs.push_back("cgs");
+        gs_configs.push_back(cfg);
+        break;
+      case GramSchmidtKind::Modified:
+        break;
+    }
+    cfg.kind = GramSchmidtKind::Modified;
+    cfg.reference_mgs = false;
+    if (gs_opts.kind != GramSchmidtKind::Modified || !gs_opts.reference_mgs) {
+      gs_rungs.push_back("mgs");
       gs_configs.push_back(cfg);
     }
+    cfg.reference_mgs = true;
+    gs_rungs.push_back("mgs-reference");
+    gs_configs.push_back(cfg);
     gs = resilience::RunLadder(
         phase::kDOrtho, options.resilience,
         options.resilience.dortho_budget_seconds, gs_rungs.data(),
@@ -240,11 +145,6 @@ HdeResult RunParHde(const CsrGraph& graph, const HdeOptions& options_in) {
           CheckMatrixFinite(S, phase::kDOrtho, "orthogonalized subspace");
           return attempt_gs;
         });
-    if (!coupled_trigger.empty()) {
-      resilience::RecordRecoveryAttempt({"BFS+DOrtho", "decoupled",
-                                         coupled_trigger,
-                                         decoupled_timer.Seconds(), true});
-    }
   }
 
   // Drop the degenerate 0th column (Alg. 3 line 16). It always survives

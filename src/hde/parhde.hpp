@@ -120,13 +120,6 @@ struct HdeOptions {
   /// Number of layout axes p — 2 for screen layouts (paper default),
   /// 3 for 3-D layouts (§2.1 allows either).
   int num_axes = 2;
-  /// Couple the BFS and D-orthogonalization phases: each distance vector is
-  /// orthogonalized immediately after its traversal instead of in a
-  /// separate pass (§4.4 notes MGS permits this; CGS does not). Requires
-  /// the k-centers pivot strategy and Modified Gram-Schmidt; other
-  /// configurations silently use the decoupled pipeline. Results are
-  /// identical either way — only the execution schedule changes.
-  bool coupled_bfs_ortho = false;
   /// Permits the automatic ParallelBfs -> MultiSourceBfs upgrade in the
   /// random-pivot phase. The distance-phase recovery ladder clears it on a
   /// downgraded retry so the fallback cannot re-select the failed engine.

@@ -19,6 +19,7 @@
 #include "util/run_context.hpp"
 
 namespace parhde {
+namespace {
 
 /// Runs one search with the configured kernel and writes distances into
 /// `column` (doubles; unreachable vertices get a large finite sentinel so
@@ -28,9 +29,11 @@ namespace parhde {
 /// search (finite weighted distances routinely exceed n). Returns the
 /// integer hop distances for pivot bookkeeping when the kernel is
 /// BFS-based; for SSSP the hop vector is clamped quantized weights.
+/// `max_weight` is MaxEdgeWeight(graph), hoisted by the phase drivers
+/// across searches; only the SSSP kernels read it.
 std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
                                     const HdeOptions& options,
-                                    std::span<double> column, BfsStats* stats,
+                                    std::span<double> column, BfsStats& stats,
                                     weight_t max_weight) {
   const vid_t n = graph.NumVertices();
   std::vector<dist_t> hops;
@@ -43,13 +46,11 @@ std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
       [[fallthrough]];
     case DistanceKernel::ParallelBfs: {
       BfsResult result = ParallelBfs(graph, source, options.bfs);
-      if (stats) {
-        stats->levels += result.stats.levels;
-        stats->top_down_steps += result.stats.top_down_steps;
-        stats->serial_steps += result.stats.serial_steps;
-        stats->bottom_up_steps += result.stats.bottom_up_steps;
-        stats->edges_examined += result.stats.edges_examined;
-      }
+      stats.levels += result.stats.levels;
+      stats.top_down_steps += result.stats.top_down_steps;
+      stats.serial_steps += result.stats.serial_steps;
+      stats.bottom_up_steps += result.stats.bottom_up_steps;
+      stats.edges_examined += result.stats.edges_examined;
       hops = std::move(result.dist);
       break;
     }
@@ -63,20 +64,18 @@ std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
       std::vector<weight_t> wdist;
       if (options.kernel == DistanceKernel::DeltaStepping) {
         SsspResult result = DeltaStepping(graph, source, options.sssp);
-        if (stats) stats->edges_examined += result.stats.relaxations;
+        stats.edges_examined += result.stats.relaxations;
         wdist = std::move(result.dist);
       } else {
         // The ladder's terminal weighted rung: serial, heap-based, immune
         // to the bucket arithmetic a pathological Δ/weight ratio derails.
         DijkstraStats ds;
         wdist = Dijkstra(graph, source, &ds);
-        if (stats) stats->edges_examined += ds.edges_scanned;
+        stats.edges_examined += ds.edges_scanned;
       }
       // Unreachable sentinel: strictly above every finite distance of this
       // search (the hop sentinel n sorts *below* reachable vertices once
       // weights exceed 1, corrupting pivot selection and the B columns).
-      const weight_t maxw =
-          max_weight >= 0.0 ? max_weight : MaxEdgeWeight(graph);
       const weight_t max_finite = ParallelReduce(
           n, kStreamGrain, weight_t{0},
           [&](std::int64_t lo, std::int64_t hi) {
@@ -89,7 +88,7 @@ std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
           },
           [](weight_t a, weight_t b) { return std::max(a, b); });
       const weight_t sentinel =
-          WeightedUnreachableSentinel(max_finite, maxw, n);
+          WeightedUnreachableSentinel(max_finite, max_weight, n);
       // Quantize for the farthest-vertex reduction (ties resolved on the
       // quantized scale; adequate for pivot spreading). Finite distances
       // beyond the dist_t range clamp to the largest finite hop value so
@@ -132,8 +131,6 @@ vid_t ResolveStartVertex(const CsrGraph& graph, const HdeOptions& options) {
       rng.NextBounded(static_cast<std::uint64_t>(graph.NumVertices())));
 }
 
-namespace {
-
 DistancePhase RunKCentersPhase(const CsrGraph& graph,
                                const HdeOptions& options) {
   const vid_t n = graph.NumVertices();
@@ -162,7 +159,7 @@ DistancePhase RunKCentersPhase(const CsrGraph& graph,
 
     const std::vector<dist_t> hops =
         RunSingleSearch(graph, source, opts,
-                        phase.B.Col(static_cast<std::size_t>(i)), &phase.stats,
+                        phase.B.Col(static_cast<std::size_t>(i)), phase.stats,
                         maxw);
     filled = i + 1;
 
@@ -224,7 +221,7 @@ DistancePhase RunRandomSsspPhase(const CsrGraph& graph,
   } else {
     for (int i = 0; i < s; ++i) {
       RunSingleSearch(graph, phase.pivots[static_cast<std::size_t>(i)], opts,
-                      phase.B.Col(static_cast<std::size_t>(i)), &phase.stats,
+                      phase.B.Col(static_cast<std::size_t>(i)), phase.stats,
                       maxw);
     }
   }
@@ -325,30 +322,6 @@ std::vector<vid_t> RandomPivots(vid_t n, int count, std::uint64_t seed) {
   }
   std::shuffle(picked.begin(), picked.end(), rng);
   return picked;
-}
-
-std::vector<vid_t> KCentersPivots(const CsrGraph& graph, int count,
-                                  vid_t start) {
-  const vid_t n = graph.NumVertices();
-  assert(start >= 0 && start < n);
-  std::vector<vid_t> pivots;
-  pivots.reserve(static_cast<std::size_t>(count));
-  std::vector<dist_t> to_sources(static_cast<std::size_t>(n), kInfDist);
-  vid_t source = start;
-  for (int i = 0; i < count; ++i) {
-    pivots.push_back(source);
-    const auto hops = ParallelBfsDistances(graph, source);
-    MinInto(to_sources, hops);
-    source = ArgmaxFiniteDistance(to_sources);
-    // Saturated: the farthest reachable vertex is already a pivot. The old
-    // `source = pivots.back()` here pushed duplicates and re-ran identical
-    // BFSes for every remaining iteration; return the distinct set instead.
-    if (source == kInvalidVid ||
-        to_sources[static_cast<std::size_t>(source)] == 0) {
-      break;
-    }
-  }
-  return pivots;
 }
 
 DistancePhase RunDistancePhase(const CsrGraph& graph,

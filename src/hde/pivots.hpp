@@ -39,34 +39,12 @@ DistancePhase RunDistancePhase(const CsrGraph& graph,
 /// to serial Dijkstra — and the phase rerun. Every attempt is recorded in
 /// the recovery log. Books BFS and BFS:Other into result.timings, fills
 /// result.pivots and result.bfs_stats, and returns B. The shared BFS-phase
-/// entry point of the decoupled ParHDE, PHDE, and PivotMDS drivers.
+/// entry point of the ParHDE, PHDE, and PivotMDS drivers.
 DenseMatrix RunDistancePhaseWithRecovery(const CsrGraph& graph,
                                          const HdeOptions& options,
                                          HdeResult& result);
 
 /// `count` distinct pivots drawn uniformly without repetition.
 std::vector<vid_t> RandomPivots(vid_t n, int count, std::uint64_t seed);
-
-/// Farthest-first k-centers pivots (2-approximation, Gonzalez). Runs the
-/// same searches as the distance phase but discards the distance matrix;
-/// exposed separately for tests of the approximation property.
-std::vector<vid_t> KCentersPivots(const CsrGraph& graph, int count,
-                                  vid_t start);
-
-/// Runs one distance search from `source` with the kernel configured in
-/// `options`, writing double distances into `column` (length n; unreachable
-/// vertices get a finite sentinel — n for hop kernels,
-/// WeightedUnreachableSentinel for the SSSP kernel). Returns quantized hop
-/// distances for farthest-vertex bookkeeping. Used by the coupled
-/// BFS+DOrtho mode. `max_weight` lets phase drivers hoist the
-/// MaxEdgeWeight reduction across searches; < 0 computes it on demand.
-std::vector<dist_t> RunSingleSearch(const CsrGraph& graph, vid_t source,
-                                    const HdeOptions& options,
-                                    std::span<double> column, BfsStats* stats,
-                                    weight_t max_weight = -1.0);
-
-/// The start vertex a run will use: options.start_vertex if set, otherwise
-/// one drawn from options.seed.
-vid_t ResolveStartVertex(const CsrGraph& graph, const HdeOptions& options);
 
 }  // namespace parhde

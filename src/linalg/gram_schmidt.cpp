@@ -149,75 +149,59 @@ void ProjectClassical(DenseMatrix& S, std::span<const double> d,
 
 }  // namespace
 
-IncrementalDOrthogonalizer::IncrementalDOrthogonalizer(
-    DenseMatrix& S, std::span<const double> d,
-    const GramSchmidtOptions& options)
-    : S_(S), d_(d), options_(options) {
-  assert(S.Rows() == d.size());
-  options_.block_width = std::max<std::size_t>(1, options_.block_width);
-}
-
-bool IncrementalDOrthogonalizer::Push(std::size_t c) {
-  assert(kept_.empty() || c > kept_.back());
-  // Column granularity: Push is sequential (its projections fork
-  // internally), so the deadline may throw directly.
-  resilience::CheckDeadline("DOrtho");
-  if (PARHDE_FAULT_ONESHOT("gs:nan")) {
-    S_.Col(c)[0] = std::numeric_limits<double>::quiet_NaN();
-  }
-  const std::span<const std::size_t> kept(kept_);
-  switch (options_.kind) {
-    case GramSchmidtKind::Modified:
-      if (options_.reference_mgs) {
-        ProjectModifiedReference(S_, d_, kept, c);
-      } else {
-        ProjectModifiedPipelined(S_, d_, kept, c);
-      }
-      break;
-    case GramSchmidtKind::Classical:
-      ProjectClassical(S_, d_, kept, c);
-      break;
-    case GramSchmidtKind::Blocked:
-      // Closed blocks via the batched Level-2 path, the open block via the
-      // pipelined MGS stage (BCGS: CGS between blocks, MGS within).
-      if (finalized_ > 0) {
-        ProjectClassical(S_, d_, kept.first(finalized_), c);
-      }
-      ProjectModifiedPipelined(S_, d_, kept.subspan(finalized_), c);
-      break;
-  }
-  const double norm = WeightedNorm2(S_.Col(c), d_);
-  if (norm <= options_.drop_tol) {
-    ++dropped_;
-    return false;
-  }
-  Scale(S_.Col(c), 1.0 / norm);
-  kept_.push_back(c);
-  if (options_.kind == GramSchmidtKind::Blocked &&
-      kept_.size() - finalized_ >= options_.block_width) {
-    finalized_ = kept_.size();
-  }
-  return true;
-}
-
-GramSchmidtResult IncrementalDOrthogonalizer::Finalize() {
-  GramSchmidtResult result;
-  result.kept = kept_;
-  result.dropped = dropped_;
-  S_.KeepColumns(result.kept);
-  obs::CounterAdd(obs::Counter::kDOrthoKeptColumns,
-                  static_cast<std::int64_t>(kept_.size()));
-  obs::CounterAdd(obs::Counter::kDOrthoDroppedColumns,
-                  static_cast<std::int64_t>(dropped_));
-  return result;
-}
-
 GramSchmidtResult DOrthogonalize(DenseMatrix& S, std::span<const double> d,
                                  const GramSchmidtOptions& options) {
-  IncrementalDOrthogonalizer ortho(S, d, options);
-  const std::size_t cols = S.Cols();
-  for (std::size_t c = 0; c < cols; ++c) ortho.Push(c);
-  return ortho.Finalize();
+  assert(S.Rows() == d.size());
+  const std::size_t block_width = std::max<std::size_t>(1, options.block_width);
+  GramSchmidtResult result;
+  std::vector<std::size_t>& kept = result.kept;
+  // Blocked kind: kept[0, closed) sit in closed blocks (projected against
+  // via the batched CGS stage); kept[closed, ..) is the open block (MGS).
+  std::size_t closed = 0;
+  for (std::size_t c = 0; c < S.Cols(); ++c) {
+    // Column granularity: the loop is sequential (its projections fork
+    // internally), so the deadline may throw directly.
+    resilience::CheckDeadline("DOrtho");
+    if (PARHDE_FAULT_ONESHOT("gs:nan")) {
+      S.Col(c)[0] = std::numeric_limits<double>::quiet_NaN();
+    }
+    const std::span<const std::size_t> prefix(kept);
+    switch (options.kind) {
+      case GramSchmidtKind::Modified:
+        if (options.reference_mgs) {
+          ProjectModifiedReference(S, d, prefix, c);
+        } else {
+          ProjectModifiedPipelined(S, d, prefix, c);
+        }
+        break;
+      case GramSchmidtKind::Classical:
+        ProjectClassical(S, d, prefix, c);
+        break;
+      case GramSchmidtKind::Blocked:
+        // Closed blocks via the batched Level-2 path, the open block via the
+        // pipelined MGS stage (BCGS: CGS between blocks, MGS within).
+        if (closed > 0) ProjectClassical(S, d, prefix.first(closed), c);
+        ProjectModifiedPipelined(S, d, prefix.subspan(closed), c);
+        break;
+    }
+    const double norm = WeightedNorm2(S.Col(c), d);
+    if (norm <= options.drop_tol) {
+      ++result.dropped;
+      continue;
+    }
+    Scale(S.Col(c), 1.0 / norm);
+    kept.push_back(c);
+    if (options.kind == GramSchmidtKind::Blocked &&
+        kept.size() - closed >= block_width) {
+      closed = kept.size();
+    }
+  }
+  S.KeepColumns(kept);
+  obs::CounterAdd(obs::Counter::kDOrthoKeptColumns,
+                  static_cast<std::int64_t>(kept.size()));
+  obs::CounterAdd(obs::Counter::kDOrthoDroppedColumns,
+                  static_cast<std::int64_t>(result.dropped));
+  return result;
 }
 
 double OrthonormalityResidual(const DenseMatrix& S, std::span<const double> d) {

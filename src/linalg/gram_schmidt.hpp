@@ -63,43 +63,6 @@ struct GramSchmidtResult {
 GramSchmidtResult DOrthogonalize(DenseMatrix& S, std::span<const double> d,
                                  const GramSchmidtOptions& options = {});
 
-/// Incremental D-orthogonalization: columns are pushed one at a time, which
-/// is what lets ParHDE *couple* the BFS and DOrtho phases (§4.4: "the
-/// default [MGS] procedure can also be executed with a coupled BFS and
-/// D-orthogonalization"). Modified and Blocked work incrementally by
-/// construction; Classical cannot batch ahead of time, so Push projects
-/// against the accepted prefix.
-///
-/// The referenced matrix and metric must outlive the orthogonalizer.
-/// Call Finalize() once to compact accepted columns to the front of S.
-class IncrementalDOrthogonalizer {
- public:
-  IncrementalDOrthogonalizer(DenseMatrix& S, std::span<const double> d,
-                             const GramSchmidtOptions& options = {});
-
-  /// Projects column `c` of S against every previously accepted column,
-  /// then normalizes or drops it (drop_tol). Columns must be pushed in
-  /// ascending index order. Returns true if the column was kept.
-  bool Push(std::size_t c);
-
-  [[nodiscard]] const std::vector<std::size_t>& Kept() const { return kept_; }
-  [[nodiscard]] std::size_t Dropped() const { return dropped_; }
-
-  /// Compacts accepted columns to the front of S and returns the summary.
-  /// The orthogonalizer must not be used afterwards.
-  GramSchmidtResult Finalize();
-
- private:
-  DenseMatrix& S_;
-  std::span<const double> d_;
-  GramSchmidtOptions options_;
-  std::vector<std::size_t> kept_;
-  std::size_t dropped_ = 0;
-  /// Blocked kind: kept columns in closed blocks (projected against via the
-  /// batched CGS stage); kept_[finalized_..] is the open block (MGS stage).
-  std::size_t finalized_ = 0;
-};
-
 /// Max |s_i' D s_j - delta_ij| over all column pairs — the orthonormality
 /// residual, used by tests and the EXPERIMENTS verification pass.
 /// Parallelized over the upper-triangle pairs (it is O(s²·n)).

@@ -1,7 +1,9 @@
 // Minimal command-line flag parser for the examples and benchmark drivers.
 //
-// Supports --name=value, --name value, and bare --flag booleans. Unknown
-// flags are collected so callers can reject or ignore them.
+// Supports --name=value, --name value, and bare --flag booleans. Flags no
+// caller asks for are ignored silently; a misspelled flag *name* therefore
+// runs with the default, while a misspelled *value* read through GetChoice,
+// GetInt or GetDouble fails with ParhdeError(kUsage).
 #pragma once
 
 #include <cstdint>

@@ -156,6 +156,11 @@ TEST_F(CliToolTest, DistinctExitCodesForDistinctFailures) {
       << Log();
   EXPECT_EQ(Run("layout"), 2) << Log();
   EXPECT_EQ(Run("layout --in=" + Path("ok.el") + " --s=abc"), 2) << Log();
+  EXPECT_EQ(Run("layout --in=" + Path("ok.el") + " --pivots=randm"), 2)
+      << Log();
+  EXPECT_EQ(Run("layout --in=" + Path("ok.el") + " --metric=unti"), 2)
+      << Log();
+  EXPECT_EQ(Run("layout --in=" + Path("ok.el") + " --basis=x"), 2) << Log();
 
   // 4 = kParse: structurally broken MatrixMarket.
   {

@@ -299,26 +299,6 @@ TEST(BlockedGs, ManyBlocksStayOrthonormal) {
   EXPECT_LT(OrthonormalityResidual(S, d), 1e-8);
 }
 
-TEST(BlockedGs, IncrementalPushMatchesBatch) {
-  // The coupled BFS+DOrtho driver pushes columns one at a time; the result
-  // must be identical to the batch call.
-  DenseMatrix batch = RandomColumns(250, 10, 81);
-  DenseMatrix incremental = batch;
-  const auto d = RandomMetric(250, 82);
-  GramSchmidtOptions options;
-  options.kind = GramSchmidtKind::Blocked;
-  options.block_width = 3;
-
-  const GramSchmidtResult a = DOrthogonalize(batch, d, options);
-  IncrementalDOrthogonalizer ortho(incremental, d, options);
-  for (std::size_t c = 0; c < 10; ++c) ortho.Push(c);
-  const GramSchmidtResult b = ortho.Finalize();
-
-  EXPECT_EQ(a.kept, b.kept);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_LT(MaxDiff(batch, incremental), 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // OrthonormalityResidual (parallelized) sanity.
 

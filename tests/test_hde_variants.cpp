@@ -1,5 +1,4 @@
-// Tests for the ParHDE option extensions: coupled BFS+DOrtho scheduling
-// (§4.4) and p-axis (3-D) layouts (§2.1).
+// Tests for the ParHDE option extensions: p-axis (3-D) layouts (§2.1).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,51 +10,6 @@
 
 namespace parhde {
 namespace {
-
-TEST(CoupledOrtho, IdenticalResultToDecoupled) {
-  // Coupling only changes the execution schedule; with the same pivots and
-  // MGS the layout must match the decoupled run exactly.
-  const CsrGraph g = BuildCsrGraph(15 * 22, GenGrid2d(15, 22));
-  HdeOptions decoupled;
-  decoupled.subspace_dim = 8;
-  decoupled.start_vertex = 0;
-  HdeOptions coupled = decoupled;
-  coupled.coupled_bfs_ortho = true;
-
-  const HdeResult a = RunParHde(g, decoupled);
-  const HdeResult b = RunParHde(g, coupled);
-  EXPECT_EQ(a.pivots, b.pivots);
-  EXPECT_EQ(a.kept_columns, b.kept_columns);
-  ASSERT_EQ(a.layout.x.size(), b.layout.x.size());
-  for (std::size_t v = 0; v < a.layout.x.size(); ++v) {
-    EXPECT_NEAR(a.layout.x[v], b.layout.x[v], 1e-9);
-    EXPECT_NEAR(a.layout.y[v], b.layout.y[v], 1e-9);
-  }
-}
-
-TEST(CoupledOrtho, StillRecordsBothPhases) {
-  const CsrGraph g = BuildCsrGraph(400, GenGrid2d(20, 20));
-  HdeOptions options;
-  options.subspace_dim = 6;
-  options.start_vertex = 0;
-  options.coupled_bfs_ortho = true;
-  const HdeResult result = RunParHde(g, options);
-  EXPECT_GT(result.timings.Get(phase::kBfs), 0.0);
-  EXPECT_GT(result.timings.Get(phase::kDOrtho), 0.0);
-}
-
-TEST(CoupledOrtho, FallsBackWithCgs) {
-  // CGS needs all columns up front (§4.4), so the coupled flag is ignored;
-  // the run must still succeed.
-  const CsrGraph g = BuildCsrGraph(225, GenGrid2d(15, 15));
-  HdeOptions options;
-  options.subspace_dim = 6;
-  options.start_vertex = 0;
-  options.coupled_bfs_ortho = true;
-  options.gs_kind = GramSchmidtKind::Classical;
-  const HdeResult result = RunParHde(g, options);
-  EXPECT_EQ(result.layout.x.size(), 225u);
-}
 
 TEST(MultiAxis, ThreeAxesProduced) {
   const CsrGraph g = BuildCsrGraph(512, GenGrid3d(8, 8, 8));

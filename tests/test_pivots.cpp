@@ -37,11 +37,20 @@ TEST(RandomPivots, DeterministicForSeed) {
   EXPECT_EQ(RandomPivots(1000, 50, 9), RandomPivots(1000, 50, 9));
 }
 
+// Farthest-first pivots as the distance phase picks them: `count` k-centers
+// searches from vertex 0 with the default kernel.
+std::vector<vid_t> KCentersFromZero(const CsrGraph& g, int count) {
+  HdeOptions options;
+  options.subspace_dim = count;
+  options.start_vertex = 0;
+  return RunDistancePhase(g, options).pivots;
+}
+
 TEST(KCentersPivots, ChainPicksExtremes) {
   // On a chain starting from vertex 0, the farthest vertex is n-1, then the
   // next pivot maximizes min-distance: the middle.
   const CsrGraph g = BuildCsrGraph(101, GenChain(101));
-  const auto pivots = KCentersPivots(g, 3, 0);
+  const auto pivots = KCentersFromZero(g, 3);
   ASSERT_EQ(pivots.size(), 3u);
   EXPECT_EQ(pivots[0], 0);
   EXPECT_EQ(pivots[1], 100);
@@ -50,7 +59,7 @@ TEST(KCentersPivots, ChainPicksExtremes) {
 
 TEST(KCentersPivots, PivotsAreDistinctOnNonTrivialGraphs) {
   const CsrGraph g = BuildCsrGraph(400, GenGrid2d(20, 20));
-  const auto pivots = KCentersPivots(g, 10, 0);
+  const auto pivots = KCentersFromZero(g, 10);
   std::set<vid_t> unique(pivots.begin(), pivots.end());
   EXPECT_EQ(unique.size(), pivots.size());
 }
@@ -60,7 +69,7 @@ TEST(KCentersPivots, TwoApproximationProperty) {
   // We verify the weaker but checkable invariant that each new pivot was at
   // maximal distance from the previous set at selection time.
   const CsrGraph g = BuildCsrGraph(225, GenGrid2d(15, 15));
-  const auto pivots = KCentersPivots(g, 5, 0);
+  const auto pivots = KCentersFromZero(g, 5);
 
   std::vector<dist_t> to_set(static_cast<std::size_t>(g.NumVertices()),
                              kInfDist);
@@ -220,8 +229,10 @@ TEST(DistancePhase, WeightedSentinelSortsAboveReachable) {
 
   HdeOptions options;
   options.kernel = DistanceKernel::DeltaStepping;
-  std::vector<double> column(static_cast<std::size_t>(n));
-  RunSingleSearch(g, 0, options, column, nullptr);
+  options.subspace_dim = 1;
+  options.start_vertex = 0;
+  const DistancePhase phase = RunDistancePhase(g, options);
+  const auto column = phase.B.Col(0);
 
   const auto expected = Dijkstra(g, 0);
   double max_reachable = 0.0;

@@ -519,26 +519,6 @@ TEST_F(ResilienceTest, GsNanRecoversOnTheReferenceRung) {
   EXPECT_TRUE(log[1].succeeded);
 }
 
-TEST_F(ResilienceTest, CoupledScheduleFallsBackToTheDecoupledPipeline) {
-  const CsrGraph g = TestGrid(20, 20);
-  LoadFaultPlan("gs:nan");
-  HdeOptions options;
-  options.subspace_dim = 6;
-  options.coupled_bfs_ortho = true;
-  const HdeResult result = RunParHde(g, options);
-  for (const double x : result.layout.x) ASSERT_TRUE(std::isfinite(x));
-  const auto log = resilience::RecoveryAttempts();
-  // coupled failed -> decoupled reran BFS + DOrtho and succeeded. The NaN
-  // was one-shot, so the decoupled DOrtho ladder is not engaged.
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].phase, "BFS+DOrtho");
-  EXPECT_EQ(log[0].kernel, "coupled");
-  EXPECT_FALSE(log[0].succeeded);
-  EXPECT_EQ(log[1].kernel, "decoupled");
-  EXPECT_EQ(log[1].trigger, "numerical");
-  EXPECT_TRUE(log[1].succeeded);
-}
-
 TEST_F(ResilienceTest, MsBfsNanDowngradesToParallelBfs) {
   const CsrGraph g = TestGrid(20, 20);
   LoadFaultPlan("msbfs:nan");

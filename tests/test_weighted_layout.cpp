@@ -68,19 +68,6 @@ TEST(WeightedLayout, RandomPivotsBothEnginesProduceFiniteLayouts) {
   }
 }
 
-TEST(WeightedLayout, CoupledModeStaysFinite) {
-  // The coupled BFS+DOrtho path hoists Δ and the max weight once up front;
-  // it must survive non-unit weights too.
-  const CsrGraph g = WeightedPlate(16, 16, 7);
-  HdeOptions options;
-  options.subspace_dim = 8;
-  options.start_vertex = 0;
-  options.kernel = DistanceKernel::DeltaStepping;
-  options.coupled_bfs_ortho = true;
-  const HdeResult result = RunParHde(g, options);
-  ExpectFiniteLayout(result, g.NumVertices());
-}
-
 TEST(WeightedLayout, DisconnectedWeightedGraphPacksComponents) {
   // Two weighted grids plus a weighted triangle: exercises the unreachable
   // sentinel inside each per-component run only if a component were itself

@@ -10,7 +10,7 @@
 //             [--dortho=mgs|cgs|blocked] [--gs-block=8]  (orthogonalizer)
 //             [--spmm-block=0|1|4|8|16]  (TripleProd SpMM column block;
 //             0 auto-tunes, 1 forces the per-column reference kernel)
-//             [--metric=degree|unit] [--basis=b|s] [--coupled] [--seed=1]
+//             [--metric=degree|unit] [--basis=b|s] [--seed=1]
 //             [--kernel=parbfs|serialbfs|msbfs|sssp] [--delta=<w>]
 //             [--sssp-engine=auto|parallel|concurrent]
 //             [--disconnected=pack|largest|reject]  (default: largest)
@@ -255,7 +255,8 @@ HdeOptions OptionsFromFlags(const ArgParser& args) {
   options.subspace_dim = static_cast<int>(args.GetInt("s", 10));
   options.num_axes = static_cast<int>(args.GetInt("axes", 2));
   options.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  if (args.GetString("pivots", "kcenters") == "random") {
+  if (args.GetChoice("pivots", {"kcenters", "random"}, "kcenters") ==
+      "random") {
     options.pivots = PivotStrategy::Random;
   }
   const std::string dortho =
@@ -277,13 +278,12 @@ HdeOptions OptionsFromFlags(const ArgParser& args) {
                       "--spmm-block must be one of 0 (auto), 1, 4, 8, 16");
   }
   options.spmm_block = spmm_block;
-  if (args.GetString("metric", "degree") == "unit") {
+  if (args.GetChoice("metric", {"degree", "unit"}, "degree") == "unit") {
     options.metric = OrthoMetric::Unweighted;
   }
-  if (args.GetString("basis", "b") == "s") {
+  if (args.GetChoice("basis", {"b", "s"}, "b") == "s") {
     options.basis = CoordBasis::Subspace;
   }
-  if (args.Has("coupled")) options.coupled_bfs_ortho = true;
   // --kernel selects the distance traversal; `parbfs` keeps the automatic
   // upgrade to the batched multi-source engine for random pivots with
   // s >= kMsBfsAutoThreshold, while `msbfs`/`serialbfs` force one engine.
@@ -441,7 +441,6 @@ int CmdLayout(const ArgParser& args) {
       {"spmm_block", std::to_string(options.spmm_block)},
       {"metric", args.GetString("metric", "degree")},
       {"basis", args.GetString("basis", "b")},
-      {"coupled", args.Has("coupled") ? "true" : "false"},
       {"kernel", args.GetString("kernel", "parbfs")},
       {"delta", std::to_string(options.sssp.delta)},
       {"sssp_engine", args.GetString("sssp-engine", "auto")},
