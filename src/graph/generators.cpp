@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace parhde {
@@ -13,15 +14,18 @@ EdgeList GenUniformRandom(vid_t n, eid_t m, std::uint64_t seed) {
   assert(n > 0);
   EdgeList edges(static_cast<std::size_t>(m));
   const auto nm = static_cast<std::int64_t>(m);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < nm; ++i) {
-    // Per-edge independent stream so results don't depend on thread count.
-    Xoshiro256 local(seed ^
-                     (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1)));
-    const auto u = static_cast<vid_t>(local.NextBounded(static_cast<std::uint64_t>(n)));
-    const auto v = static_cast<vid_t>(local.NextBounded(static_cast<std::uint64_t>(n)));
-    edges[static_cast<std::size_t>(i)] = {u, v, 1.0};
-  }
+  ParallelFor(nm, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      // Per-edge independent stream so results don't depend on thread count.
+      Xoshiro256 local(seed ^ (0x9e3779b97f4a7c15ULL *
+                               static_cast<std::uint64_t>(i + 1)));
+      const auto u = static_cast<vid_t>(
+          local.NextBounded(static_cast<std::uint64_t>(n)));
+      const auto v = static_cast<vid_t>(
+          local.NextBounded(static_cast<std::uint64_t>(n)));
+      edges[static_cast<std::size_t>(i)] = {u, v, 1.0};
+    }
+  });
   return edges;
 }
 
@@ -44,30 +48,32 @@ EdgeList GenKronecker(int scale, int edge_factor, std::uint64_t seed,
   const auto nm = static_cast<std::int64_t>(m);
   const double ab = params.a + params.b;
   const double abc = params.a + params.b + params.c;
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < nm; ++i) {
-    Xoshiro256 rng(seed ^ (0xdeadbeefULL + 0x9e3779b97f4a7c15ULL *
-                                               static_cast<std::uint64_t>(i)));
-    vid_t u = 0, v = 0;
-    for (int level = 0; level < scale; ++level) {
-      const double r = rng.NextDouble();
-      int bit_u = 0, bit_v = 0;
-      if (r < params.a) {
-        // top-left quadrant
-      } else if (r < ab) {
-        bit_v = 1;
-      } else if (r < abc) {
-        bit_u = 1;
-      } else {
-        bit_u = 1;
-        bit_v = 1;
+  ParallelFor(nm, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      Xoshiro256 rng(seed ^ (0xdeadbeefULL + 0x9e3779b97f4a7c15ULL *
+                                                 static_cast<std::uint64_t>(i)));
+      vid_t u = 0, v = 0;
+      for (int level = 0; level < scale; ++level) {
+        const double r = rng.NextDouble();
+        int bit_u = 0, bit_v = 0;
+        if (r < params.a) {
+          // top-left quadrant
+        } else if (r < ab) {
+          bit_v = 1;
+        } else if (r < abc) {
+          bit_u = 1;
+        } else {
+          bit_u = 1;
+          bit_v = 1;
+        }
+        u = static_cast<vid_t>((u << 1) | bit_u);
+        v = static_cast<vid_t>((v << 1) | bit_v);
       }
-      u = static_cast<vid_t>((u << 1) | bit_u);
-      v = static_cast<vid_t>((v << 1) | bit_v);
+      edges[static_cast<std::size_t>(i)] = {
+          perm[static_cast<std::size_t>(u)], perm[static_cast<std::size_t>(v)],
+          1.0};
     }
-    edges[static_cast<std::size_t>(i)] = {perm[static_cast<std::size_t>(u)],
-                                          perm[static_cast<std::size_t>(v)], 1.0};
-  }
+  });
   return edges;
 }
 

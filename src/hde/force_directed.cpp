@@ -3,12 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "hde/refine.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
+
+// Vertices per block; force evaluations vary with the local density, so
+// blocks stay small.
+constexpr std::int64_t kVertexGrain = 256;
 
 /// Uniform spatial grid over the current layout: cell side = cutoff radius,
 /// so each vertex only interacts with its 3x3 cell neighborhood.
@@ -118,57 +124,70 @@ ForceDirectedResult FruchtermanReingold(const CsrGraph& graph,
 
     // Repulsion through the grid (truncated at `cutoff`).
     const SpatialGrid grid(result.layout, cutoff);
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : interactions)
-    for (vid_t v = 0; v < n; ++v) {
-      const double xv = result.layout.x[static_cast<std::size_t>(v)];
-      const double yv = result.layout.y[static_cast<std::size_t>(v)];
-      double fx = 0.0, fy = 0.0;
-      grid.ForEachNeighbor(xv, yv, [&](vid_t u) {
-        if (u == v) return;
-        double dx = xv - result.layout.x[static_cast<std::size_t>(u)];
-        double dy = yv - result.layout.y[static_cast<std::size_t>(u)];
-        const double d_sq = dx * dx + dy * dy;
-        if (d_sq > cutoff_sq) return;
-        ++interactions;
-        const double d = std::max(std::sqrt(d_sq), 1e-9);
-        const double force = k * k / d;  // FR repulsion k²/d
-        fx += force * dx / d;
-        fy += force * dy / d;
-      });
-      disp_x[static_cast<std::size_t>(v)] += fx;
-      disp_y[static_cast<std::size_t>(v)] += fy;
-    }
+    interactions += ParallelReduce(
+        n, kVertexGrain, std::int64_t{0},
+        [&](std::int64_t lo, std::int64_t hi) {
+          std::int64_t count = 0;
+          for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+            const double xv = result.layout.x[static_cast<std::size_t>(v)];
+            const double yv = result.layout.y[static_cast<std::size_t>(v)];
+            double fx = 0.0, fy = 0.0;
+            grid.ForEachNeighbor(xv, yv, [&](vid_t u) {
+              if (u == v) return;
+              double dx = xv - result.layout.x[static_cast<std::size_t>(u)];
+              double dy = yv - result.layout.y[static_cast<std::size_t>(u)];
+              const double d_sq = dx * dx + dy * dy;
+              if (d_sq > cutoff_sq) return;
+              ++count;
+              const double d = std::max(std::sqrt(d_sq), 1e-9);
+              const double force = k * k / d;  // FR repulsion k²/d
+              fx += force * dx / d;
+              fy += force * dy / d;
+            });
+            disp_x[static_cast<std::size_t>(v)] += fx;
+            disp_y[static_cast<std::size_t>(v)] += fy;
+          }
+          return count;
+        },
+        std::plus<>());
 
     // Attraction along edges (d²/k). Each endpoint accumulates its own
     // half from its adjacency list — no write races.
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : interactions)
-    for (vid_t v = 0; v < n; ++v) {
-      const double xv = result.layout.x[static_cast<std::size_t>(v)];
-      const double yv = result.layout.y[static_cast<std::size_t>(v)];
-      double fx = 0.0, fy = 0.0;
-      for (const vid_t u : graph.Neighbors(v)) {
-        double dx = xv - result.layout.x[static_cast<std::size_t>(u)];
-        double dy = yv - result.layout.y[static_cast<std::size_t>(u)];
-        const double d = std::max(std::sqrt(dx * dx + dy * dy), 1e-9);
-        ++interactions;
-        const double force = d * d / k;  // FR attraction d²/k
-        fx -= force * dx / d;
-        fy -= force * dy / d;
-      }
-      disp_x[static_cast<std::size_t>(v)] += fx;
-      disp_y[static_cast<std::size_t>(v)] += fy;
-    }
+    interactions += ParallelReduce(
+        n, kVertexGrain, std::int64_t{0},
+        [&](std::int64_t lo, std::int64_t hi) {
+          std::int64_t count = 0;
+          for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+            const double xv = result.layout.x[static_cast<std::size_t>(v)];
+            const double yv = result.layout.y[static_cast<std::size_t>(v)];
+            double fx = 0.0, fy = 0.0;
+            for (const vid_t u : graph.Neighbors(v)) {
+              double dx = xv - result.layout.x[static_cast<std::size_t>(u)];
+              double dy = yv - result.layout.y[static_cast<std::size_t>(u)];
+              const double d = std::max(std::sqrt(dx * dx + dy * dy), 1e-9);
+              ++count;
+              const double force = d * d / k;  // FR attraction d²/k
+              fx -= force * dx / d;
+              fy -= force * dy / d;
+            }
+            disp_x[static_cast<std::size_t>(v)] += fx;
+            disp_y[static_cast<std::size_t>(v)] += fy;
+          }
+          return count;
+        },
+        std::plus<>());
 
     // Displace, capped at the current temperature.
-#pragma omp parallel for schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      const double dx = disp_x[static_cast<std::size_t>(v)];
-      const double dy = disp_y[static_cast<std::size_t>(v)];
-      const double d = std::max(std::sqrt(dx * dx + dy * dy), 1e-12);
-      const double step = std::min(d, temperature);
-      result.layout.x[static_cast<std::size_t>(v)] += dx / d * step;
-      result.layout.y[static_cast<std::size_t>(v)] += dy / d * step;
-    }
+    ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+      for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+        const double dx = disp_x[static_cast<std::size_t>(v)];
+        const double dy = disp_y[static_cast<std::size_t>(v)];
+        const double d = std::max(std::sqrt(dx * dx + dy * dy), 1e-12);
+        const double step = std::min(d, temperature);
+        result.layout.x[static_cast<std::size_t>(v)] += dx / d * step;
+        result.layout.y[static_cast<std::size_t>(v)] += dy / d * step;
+      }
+    });
   }
 
   result.interactions = interactions;

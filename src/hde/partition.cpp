@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <numeric>
 
 #include "linalg/lobpcg.hpp"
+#include "util/parallel.hpp"
 
 namespace parhde {
 namespace {
+
+// Vertices per block: an adjacency scan per vertex, a few arcs each.
+constexpr std::int64_t kVertexGrain = 1024;
 
 /// Splits `ids` (indices into the layout) in half along the wider of the
 /// two coordinate axes, recursing until `levels` halvings have been done.
@@ -72,18 +77,21 @@ std::vector<int> CoordinateBisection(const Layout& layout, int parts) {
 
 eid_t EdgeCut(const CsrGraph& graph, const std::vector<int>& labels) {
   assert(labels.size() == static_cast<std::size_t>(graph.NumVertices()));
-  const vid_t n = graph.NumVertices();
-  eid_t cut = 0;
-#pragma omp parallel for reduction(+ : cut) schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    for (const vid_t u : graph.Neighbors(v)) {
-      if (u > v && labels[static_cast<std::size_t>(u)] !=
-                       labels[static_cast<std::size_t>(v)]) {
-        ++cut;
-      }
-    }
-  }
-  return cut;
+  return ParallelReduce(
+      graph.NumVertices(), kVertexGrain, eid_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        eid_t cut = 0;
+        for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+          for (const vid_t u : graph.Neighbors(v)) {
+            if (u > v && labels[static_cast<std::size_t>(u)] !=
+                             labels[static_cast<std::size_t>(v)]) {
+              ++cut;
+            }
+          }
+        }
+        return cut;
+      },
+      std::plus<>());
 }
 
 std::vector<int> SpectralBisection(const CsrGraph& graph) {

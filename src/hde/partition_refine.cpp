@@ -2,24 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <vector>
 
+#include "util/parallel.hpp"
+
 namespace parhde {
+namespace {
+
+// Vertices per block: an adjacency scan per vertex, a few arcs each.
+constexpr std::int64_t kVertexGrain = 1024;
+
+}  // namespace
 
 vid_t BoundarySize(const CsrGraph& graph, const std::vector<int>& labels) {
-  const vid_t n = graph.NumVertices();
-  vid_t boundary = 0;
-#pragma omp parallel for reduction(+ : boundary) schedule(dynamic, 1024)
-  for (vid_t v = 0; v < n; ++v) {
-    for (const vid_t u : graph.Neighbors(v)) {
-      if (labels[static_cast<std::size_t>(u)] !=
-          labels[static_cast<std::size_t>(v)]) {
-        ++boundary;
-        break;
-      }
-    }
-  }
-  return boundary;
+  return ParallelReduce(
+      graph.NumVertices(), kVertexGrain, vid_t{0},
+      [&](std::int64_t lo, std::int64_t hi) {
+        vid_t boundary = 0;
+        for (auto v = static_cast<vid_t>(lo); v < hi; ++v) {
+          for (const vid_t u : graph.Neighbors(v)) {
+            if (labels[static_cast<std::size_t>(u)] !=
+                labels[static_cast<std::size_t>(v)]) {
+              ++boundary;
+              break;
+            }
+          }
+        }
+        return boundary;
+      },
+      std::plus<>());
 }
 
 RefinePartitionResult RefinePartition(const CsrGraph& graph,

@@ -13,6 +13,7 @@
 #include "obs/counters.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/prng.hpp"
 
 namespace parhde {
@@ -24,10 +25,11 @@ std::vector<double> AllocatingScale(const std::vector<double>& x,
                                     double alpha) {
   std::vector<double> out(x.size());
   const auto n = static_cast<std::int64_t>(x.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] = alpha * x[static_cast<std::size_t>(i)];
-  }
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      out[static_cast<std::size_t>(i)] = alpha * x[static_cast<std::size_t>(i)];
+    }
+  });
   return out;
 }
 
@@ -35,11 +37,12 @@ std::vector<double> AllocatingSub(const std::vector<double>& x,
                                   const std::vector<double>& y) {
   std::vector<double> out(x.size());
   const auto n = static_cast<std::int64_t>(x.size());
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        x[static_cast<std::size_t>(i)] - y[static_cast<std::size_t>(i)];
-  }
+  ParallelFor(n, kStreamGrain, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      out[static_cast<std::size_t>(i)] =
+          x[static_cast<std::size_t>(i)] - y[static_cast<std::size_t>(i)];
+    }
+  });
   return out;
 }
 

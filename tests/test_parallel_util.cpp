@@ -15,8 +15,12 @@
 
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
+#include "graph/gap_stats.hpp"
 #include "graph/generators.hpp"
+#include "hde/force_directed.hpp"
 #include "hde/parhde.hpp"
+#include "hde/partition.hpp"
+#include "hde/partition_refine.hpp"
 #include "hde/pivot_mds.hpp"
 #include "obs/counters.hpp"
 #include "util/prng.hpp"
@@ -298,6 +302,78 @@ TEST(ParHdeThreadDeterminism, BitwiseIdenticalLayoutsAt124Threads) {
       EXPECT_TRUE(bits(many.x) == bits(one.x)) << "threads=" << threads;
       EXPECT_TRUE(bits(many.y) == bits(one.y)) << "threads=" << threads;
     }
+  }
+}
+
+TEST(LoopThreadDeterminism, GraphStatsGeneratorsAndPartitionsAt124Threads) {
+  // The generators, gap statistics, partition metrics and force-directed
+  // refinement all run on ParallelFor / ParallelReduce; each input spans
+  // several blocks so 2 and 4 threads fork a real team.
+  struct Outputs {
+    EdgeList urand;
+    EdgeList kron;
+    std::vector<std::int64_t> gap_bins;
+    GapSummary gaps;
+    eid_t cut = 0;
+    vid_t boundary = 0;
+    ForceDirectedResult fr;
+  };
+  const auto run_at = [](int threads) {
+    ThreadCountGuard guard(threads);
+    Outputs out;
+    out.urand = GenUniformRandom(5000, 60000, 11);
+    out.kron = GenKronecker(13, 8, 12);
+    const CsrGraph g = BuildCsrGraph(vid_t{1} << 13, out.kron);
+    const FibonacciBinner bins = ComputeGapHistogram(g);
+    for (int b = 0; b < bins.NumBins(); ++b) {
+      out.gap_bins.push_back(bins.Count(b));
+    }
+    out.gaps = ComputeGapSummary(g);
+    std::vector<int> labels(static_cast<std::size_t>(g.NumVertices()));
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      labels[v] = static_cast<int>((v * 7) % 4);
+    }
+    out.cut = EdgeCut(g, labels);
+    out.boundary = BoundarySize(g, labels);
+    ForceDirectedOptions fr;
+    fr.iterations = 5;
+    out.fr = FruchtermanReingold(BuildCsrGraph(4900, GenGrid2d(70, 70)), fr);
+    return out;
+  };
+  const auto same_edges = [](const EdgeList& a, const EdgeList& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const Edge& x, const Edge& y) {
+                        return x.u == y.u && x.v == y.v && x.w == y.w;
+                      });
+  };
+  const auto bits = [](const std::vector<double>& axis) {
+    std::vector<std::uint64_t> out(axis.size());
+    std::transform(axis.begin(), axis.end(), out.begin(),
+                   [](double x) { return std::bit_cast<std::uint64_t>(x); });
+    return out;
+  };
+  const Outputs one = run_at(1);
+  ASSERT_GT(one.gaps.total_gaps, 0);
+  ASSERT_GT(one.cut, 0);
+  for (const int threads : {2, 4}) {
+    const Outputs many = run_at(threads);
+    EXPECT_TRUE(same_edges(many.urand, one.urand)) << threads;
+    EXPECT_TRUE(same_edges(many.kron, one.kron)) << threads;
+    EXPECT_EQ(many.gap_bins, one.gap_bins) << threads;
+    EXPECT_EQ(many.gaps.total_gaps, one.gaps.total_gaps) << threads;
+    EXPECT_EQ(many.gaps.max_gap, one.gaps.max_gap) << threads;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.gaps.mean_gap),
+              std::bit_cast<std::uint64_t>(one.gaps.mean_gap))
+        << threads;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(many.gaps.cache_line_fraction),
+              std::bit_cast<std::uint64_t>(one.gaps.cache_line_fraction))
+        << threads;
+    EXPECT_EQ(many.cut, one.cut) << threads;
+    EXPECT_EQ(many.boundary, one.boundary) << threads;
+    EXPECT_EQ(many.fr.interactions, one.fr.interactions) << threads;
+    EXPECT_TRUE(bits(many.fr.layout.x) == bits(one.fr.layout.x)) << threads;
+    EXPECT_TRUE(bits(many.fr.layout.y) == bits(one.fr.layout.y)) << threads;
   }
 }
 
