@@ -20,8 +20,8 @@
 //     obs::ScopedRegionTimer, so counters, deadline polls and per-thread
 //     phase stats land in the caller's run. Call sites name no context,
 //     timer, schedule or thread count; the grain is their only knob.
-// Δ-stepping's persistent team (sssp/delta_stepping.cpp) is the one
-// hand-written region left on the layout path: it is not a loop.
+// Δ-stepping (sssp/delta_stepping.cpp) is the one file left that binds its
+// own regions: its persistent team per search is not a loop.
 #pragma once
 
 #include <omp.h>
